@@ -202,6 +202,8 @@ def empirical_mse(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base_seed = config.seed if seed is None else seed
+    if not 0 <= base_seed <= 2**64 - trials:
+        raise ValueError(f"trial seeds {base_seed} + [0, {trials}) must lie in [0, 2^64)")
     h = config.height
     keysets = output_keys(config)
     uniq = sorted({p for keys in keysets for p in keys})
@@ -216,7 +218,7 @@ def empirical_mse(
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        seeds = base_seed + np.arange(done, done + n, dtype=np.int64)
+        seeds = np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64)
         Z = vertex_laplace(config.scale, seeds[:, None], key_arr[None, :])
         err = Z @ A.T
         per_trial[done : done + n] = np.mean(err**2, axis=1)

@@ -180,6 +180,9 @@ def cmd_run(args, out) -> int:
     header = "t,estimate,true" if args.with_true else "t,estimate"
     out.write(header + "\n")
     out.flush()
+    # stdout is an online release, flushed row by row; a named file is
+    # written buffered and closed by `main`
+    online = args.output in (None, "-")
     mech = Mechanism(cfg)
     true_sum = 0
     t = 0
@@ -193,7 +196,8 @@ def cmd_run(args, out) -> int:
         if args.with_true:
             row += f",{true_sum}"
         out.write(row + "\n")
-        out.flush()
+        if online:
+            out.flush()
     if t == 0:
         raise DataError("empty input stream")
     return EXIT_OK

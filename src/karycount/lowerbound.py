@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .digits import DigitSystem
 from .mechanisms import BatchRunner, MechanismConfig
@@ -49,10 +48,16 @@ class LowerBoundConfig:
             raise ValueError(f"flip count k={self.k} must be a positive even integer")
         if self.k > B // 4:
             raise ValueError(f"need k <= B/4 = {B // 4}, got k={self.k}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3
+        if not (isinstance(self.seed, (int, np.integer))
+                and 0 <= self.seed <= 2**64 - 4 * self.trials):
+            raise ValueError(
+                f"seed must be an integer in [0, 2^64 - 4*trials], got {self.seed!r}"
+            )
 
     @property
     def B(self) -> int:
@@ -80,6 +85,9 @@ class BlockCountDistribution:
     pmf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # imported here: only `tv_exact` needs scipy, and `run` should not load it
+        from scipy.special import gammaln, logsumexp
+
         B, shift = self.B, self.shift
         if B % 4 != 0:
             raise ValueError(f"B={B} must be divisible by 4")

@@ -13,10 +13,17 @@ Sign convention: a vertex is always consumed with the same role (left
 children are added, right children subtracted), and since Laplace noise is
 symmetric the ledger stores one draw per vertex which is always *added* to
 the output, for both added and subtracted vertices.
+
+Canonical summation order, used by `Mechanism.feed` and `TreeOracle.run`
+alike: the noise of an output is 0.0 plus each level's sum, from level
+h-1 down to level 0, and each level's sum is 0.0 plus that level's draws
+in digit-walk order.  The true prefix sum is added last.  Any other order
+gives the same distribution but may differ in the last bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +45,10 @@ class MechanismConfig:
         digit_bounds(self.variant, self.k)  # validates variant/arity parity
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
     def height(self) -> int:
@@ -74,14 +81,21 @@ class Mechanism:
         self.config = config
         self.h = config.height
         self.scale = config.scale
+        self._seed = int(config.seed)  # a numpy seed would miss the int hash
         self._lo, self._hi = digit_bounds(config.variant, config.k)
         self._pows = [config.k**i for i in range(self.h + 1)]
         self._digits = [0] * self.h
         # _pref[i] = integer value of the digits strictly above level index i
         self._pref = [0] * self.h
-        # level index i holds {vertex index p: noise value}, insertion-ordered
-        # so that iterating values reproduces the digit-walk order within a level
-        self._levels: list[dict[int, float]] = [{} for _ in range(self.h)]
+        # Level index i is a stack in digit-walk order: a step appends to or
+        # pops from the top of at most one level, and clears the levels below.
+        # _keys[i] holds its vertex indices p; _sums[i][j] is 0.0 plus its
+        # first j+1 noise draws, so _sums[i][-1] is the level's sum.
+        self._keys: list[list[int]] = [[] for _ in range(self.h)]
+        self._sums: list[list[float]] = [[] for _ in range(self.h)]
+        # _acc[i] = 0.0 plus the level sums from h-1 down to i; _acc[h] = 0.0
+        self._acc = [0.0] * (self.h + 1)
+        self._size = 0
         self.t = 0
         self._true_sum = 0
         self.high_water = 0
@@ -91,29 +105,37 @@ class Mechanism:
 
     @property
     def ledger_size(self) -> int:
-        return sum(len(lvl) for lvl in self._levels)
+        """Noise terms held now, kept as a counter by insert, evict and clear."""
+        return self._size
 
     def ledger_keys(self) -> list[int]:
         """Vertex indices currently held, in output summation order."""
         keys: list[int] = []
-        for lvl in reversed(self._levels):
+        for lvl in reversed(self._keys):
             keys.extend(lvl)
         return keys
 
     def _insert(self, level: int, p: int) -> None:
-        self._levels[level][p] = vertex_laplace(self.scale, self.config.seed, p)
+        sums = self._sums[level]
+        z = vertex_laplace(self.scale, self._seed, p)
+        sums.append((sums[-1] if sums else 0.0) + z)
+        self._keys[level].append(p)
+        self._size += 1
         self.work += 1
 
     def _evict(self, level: int, p: int) -> None:
-        del self._levels[level][p]
+        if self._keys[level].pop() != p:  # unreachable; guards a corrupted state
+            raise MechanismStateError(f"vertex {p} is not on top of level {level}")
+        self._sums[level].pop()
+        self._size -= 1
         self.work += 1
 
     # -- streaming ----------------------------------------------------------
 
     def feed(self, x: int) -> float:
         """Consume one input bit and return the private prefix-sum estimate."""
-        if x not in (0, 1):
-            raise ValueError(f"input must be a bit, got {x!r}")
+        if type(x) is not int or (x != 0 and x != 1):
+            raise ValueError(f"input must be the int 0 or 1, got {x!r}")
         if self.t >= self.config.T:
             raise MechanismStateError(f"stream length {self.config.T} exhausted")
         self.t += 1
@@ -148,25 +170,25 @@ class Mechanism:
 
         # levels below the carry top restarted at the lowest digit
         for lvl in range(top):
-            level_map = self._levels[lvl]
-            self.work += len(level_map)
-            level_map.clear()
+            keys = self._keys[lvl]
+            self.work += len(keys)
+            self._size -= len(keys)
+            keys.clear()
+            self._sums[lvl].clear()
             if lo < 0:
                 base = pref[lvl]
                 for j in range(1, -lo + 1):
                     self._insert(lvl, base - j * pows[lvl])
 
-        size = self.ledger_size
-        if size > self.high_water:
-            self.high_water = size
+        if self._size > self.high_water:
+            self.high_water = self._size
 
-        # fixed summation order (level h down to 1, walk order within a level)
-        # keeps streaming outputs bit-identical to the batch oracle
-        noise = 0.0
-        for lvl in reversed(self._levels):
-            for z in lvl.values():
-                noise += z
-        return self._true_sum + noise
+        # only the level sums at or below the carry top changed
+        acc, sums = self._acc, self._sums
+        for lvl in range(top, -1, -1):
+            level = sums[lvl]
+            acc[lvl] = acc[lvl + 1] + (level[-1] if level else 0.0)
+        return self._true_sum + acc[0]
 
 
 def new_mechanism(config: MechanismConfig) -> Mechanism:
@@ -229,7 +251,10 @@ class TreeOracle:
         return self._cum[min(b, T)] - self._cum[min(a, T)]
 
     def run(self) -> list[float]:
-        """All T estimates via the signed digit walk over the tree."""
+        """All T estimates via the signed digit walk over the tree.
+
+        Noise is summed in the canonical order of the module docstring.
+        """
         cfg = self.config
         k, h = cfg.k, self.h
         pows = [k**i for i in range(h + 1)]
@@ -241,6 +266,7 @@ class TreeOracle:
             noise = 0.0
             for lvl in range(h - 1, -1, -1):
                 d = v.digits[lvl]
+                level_sum = 0.0
                 for _ in range(abs(d)):
                     if d > 0:
                         true_part += self._interval_sum(p, p + pows[lvl])
@@ -248,7 +274,8 @@ class TreeOracle:
                     else:
                         true_part -= self._interval_sum(p - pows[lvl], p)
                         p -= pows[lvl]
-                    noise += vertex_laplace(self.scale, cfg.seed, p)
+                    level_sum += vertex_laplace(self.scale, cfg.seed, p)
+                noise += level_sum
             outputs.append(true_part + noise)
         return outputs
 

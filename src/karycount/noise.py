@@ -6,7 +6,10 @@ Two sampling contracts live here:
   generator (single-owner, sequential);
 * `vertex_uniform` / `vertex_laplace` are counter-based: the value is a pure
   function of (seed, index), so tree mechanisms can materialize the noise
-  for a vertex lazily and in any order while remaining reproducible.
+  for a vertex lazily and in any order while remaining reproducible.  The
+  hash is splitmix64, written twice: on Python ints for one (seed, index)
+  pair, the streaming hot path, and on numpy uint64 arrays for batches.
+  The two bodies are bit-identical, which the tests check.
 
 Calibration covers three regimes: pure DP with Laplace noise scaled to the
 l1-sensitivity, approximate DP with Gaussian noise scaled to the
@@ -20,16 +23,22 @@ attacks in adversarial deployments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+_M64 = 0xFFFFFFFFFFFFFFFF
+_K1 = 0x9E3779B97F4A7C15
+_K2 = 0xBF58476D1CE4E5B9
+_K3 = 0x94D049BB133111EB
+
 _U64 = np.uint64
-_C1 = _U64(0x9E3779B97F4A7C15)
-_C2 = _U64(0xBF58476D1CE4E5B9)
-_C3 = _U64(0x94D049BB133111EB)
+_C1 = _U64(_K1)
+_C2 = _U64(_K2)
+_C3 = _U64(_K3)
 
 
 def _mix64(z):
@@ -42,11 +51,36 @@ def _mix64(z):
     return z ^ (z >> _U64(31))
 
 
+def _mix64_int(z: int) -> int:
+    """`_mix64` on a Python int in [0, 2^64), masked to 64 bits after each step."""
+    z = (z + _K1) & _M64
+    z = ((z ^ (z >> 30)) * _K2) & _M64
+    z = ((z ^ (z >> 27)) * _K3) & _M64
+    return z ^ (z >> 31)
+
+
+# a stream hashes one seed for every vertex, so its mix is computed once
+_mix64_seed = functools.lru_cache(maxsize=64)(_mix64_int)
+
+
+def _uniform_int(seed: int, index: int) -> float:
+    """`vertex_uniform` for one Python-int (seed, index) pair."""
+    if not (0 <= seed <= _M64 and 0 <= index <= _M64):
+        raise OverflowError(f"seed and index must lie in [0, 2^64), got {seed}, {index}")
+    h = _mix64_int(_mix64_seed(seed) ^ ((index * _K1) & _M64))
+    # h >> 11 < 2^53 converts exactly; the + 0.5 rounds as the array path does
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
 def vertex_uniform(seed, index):
     """Uniform in (0, 1), a pure function of (seed, index).
 
-    Accepts scalars or numpy integer arrays (broadcasting applies).
+    Accepts scalars or numpy integer arrays (broadcasting applies).  Seed
+    and index must lie in [0, 2^64); a Python int outside raises
+    `OverflowError`, as numpy does.
     """
+    if isinstance(seed, int) and isinstance(index, int):
+        return _uniform_int(seed, index)
     with np.errstate(over="ignore"):
         s = _mix64(np.asarray(seed, dtype=np.uint64))
         h = _mix64(s ^ (np.asarray(index, dtype=np.uint64) * _C1))
@@ -64,16 +98,21 @@ def vertex_laplace(scale, seed, index):
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
-    u = vertex_uniform(seed, index)
-    if np.isscalar(u):
+    if isinstance(seed, int) and isinstance(index, int):
         if scale == 0.0:
             return 0.0
-        v = u - 0.5
-        return -scale * math.copysign(1.0, v) * math.log1p(-2.0 * abs(v))
-    if scale == 0.0:
-        return np.zeros_like(u)
+        u = _uniform_int(seed, index)
+    else:
+        u = vertex_uniform(seed, index)
+        if not np.isscalar(u):
+            if scale == 0.0:
+                return np.zeros_like(u)
+            v = u - 0.5
+            return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+        if scale == 0.0:
+            return 0.0
     v = u - 0.5
-    return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    return -scale * math.copysign(1.0, v) * math.log1p(-2.0 * abs(v))
 
 
 def derive_seed(*parts: int) -> int:

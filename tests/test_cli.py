@@ -2,6 +2,10 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,106 @@ def test_fmt_round_trips_floats():
     for x in (1.0 / 3.0, math.pi, 5.349980061976299, -0.0):
         assert float(cli.fmt(x)) == x
     assert cli.fmt(7) == "7"
+
+
+BAD_PRIVACY_PARAMS = [
+    (["--epsilon", "inf"], {}),
+    (["--epsilon", "nan"], {}),
+    (["--seed", str(2**64)], {}),
+    ([], {"DP_SEED": str(2**64)}),
+]
+COMMANDS = {
+    "run": ["run", "--input", "-"],
+    "bench": ["bench", "--k", "3", "--h", "2", "--trials", "10"],
+    "lowerbound": ["lowerbound", "--T", "256", "--k", "4", "--trials", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("extra,env", BAD_PRIVACY_PARAMS)
+def test_bad_epsilon_or_seed_is_usage_error(command, extra, env, monkeypatch, capsys):
+    code, out, err = run_cli(
+        COMMANDS[command] + extra,
+        stdin_text="1\n0\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+        env=env,
+    )
+    assert code == 1
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert "estimate" not in out
+
+
+def test_bench_seed_above_int64(monkeypatch, capsys):
+    # trial seeds are built as uint64, so the top half of the seed range works
+    code, out, _ = run_cli(
+        ["bench", "--k", "3", "--h", "2", "--trials", "10", "--seed", str(2**63)],
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code in (0, 3)
+    assert f"# seed={2**63}" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # `run` and `bench` never need scipy; importing it was half a short run's time
+    code = "import sys, karycount.cli; print('scipy' in sys.modules)"
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.stdout.strip() == "False"
+
+
+class RecordingStdout(io.StringIO):
+    """Fake stdout that logs each write and flush in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return super().write(text)
+
+    def flush(self):
+        self.events.append(("flush", None))
+        super().flush()
+
+
+def test_stdout_release_flushes_every_row(monkeypatch):
+    fake = RecordingStdout()
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n0\n1\n1\n0\n"))
+    monkeypatch.setattr("sys.stdout", fake)
+    assert cli.main(["run", "--seed", "4", "--input", "-"]) == 0
+    rows = [i for i, (kind, text) in enumerate(fake.events)
+            if kind == "write" and text[0].isdigit()]
+    assert len(rows) == 5
+    for i in rows:
+        assert fake.events[i + 1] == ("flush", None)
+
+
+def test_file_sink_matches_stdout_release(tmp_path, monkeypatch, capsys):
+    bits = "".join(f"{(t * 7) % 3 % 2}\n" for t in range(500))
+    args = ["run", "--k", "19", "--seed", "11", "--with-true", "--input", "-"]
+    code, stdout_text, _ = run_cli(args, bits, monkeypatch, capsys)
+    assert code == 0
+    out_path = tmp_path / "rows.csv"
+    code, _, _ = run_cli(args + ["--output", str(out_path)], bits, monkeypatch, capsys)
+    assert code == 0
+    assert out_path.read_bytes() == stdout_text.encode()
+
+
+def test_file_sink_keeps_rows_before_bad_token(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        ["run", "--zero-noise", "--T", "10", "--input", "-", "--output", str(out_path)],
+        stdin_text="1\n0\n1\nx\n1\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2
+    assert "line 4" in err
+    rows = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
+    assert rows == ["t,estimate", "1,1", "2,1", "3,2"]

@@ -111,6 +111,20 @@ def test_config_validation():
         LowerBoundConfig(T=256, k=4, epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        LowerBoundConfig(T=256, k=4, epsilon=epsilon)
+
+
+def test_config_seed_range():
+    # trial i uses seeds seed + 4i .. seed + 4i + 3, all below 2^64
+    LowerBoundConfig(T=256, k=4, epsilon=1.0, trials=8, seed=2**64 - 32)
+    for seed in (-1, 2**64 - 31, 2**64, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            LowerBoundConfig(T=256, k=4, epsilon=1.0, trials=8, seed=seed)
+
+
 def test_config_derived_quantities():
     cfg = LowerBoundConfig(T=1024, k=8, epsilon=0.5)
     assert cfg.B == 32 and cfg.m == 32 and cfg.alpha == 2.0

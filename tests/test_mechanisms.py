@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karycount.digits import DigitSystem, encode, weight
+from karycount.digits import DigitSystem, encode, max_value, weight
 from karycount.mechanisms import (
     BatchRunner,
     Mechanism,
@@ -16,6 +16,7 @@ from karycount.mechanisms import (
     run_oracle,
     sensitivity_audit,
 )
+from karycount.noise import vertex_laplace
 
 VARIANT_ARITIES = [
     (DigitSystem.PLAIN, 2),
@@ -56,6 +57,21 @@ def test_config_validation():
         MechanismConfig(DigitSystem.PLAIN, 3, 10, 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1.0])
+def test_config_rejects_bad_epsilon(epsilon):
+    # epsilon=inf would give scale 0: exact counts released as private
+    with pytest.raises(ValueError, match="epsilon"):
+        MechanismConfig(DigitSystem.PLAIN, 3, 10, epsilon)
+
+
+def test_config_seed_range():
+    MechanismConfig(DigitSystem.PLAIN, 3, 10, 1.0, seed=2**64 - 1)
+    MechanismConfig(DigitSystem.PLAIN, 3, 10, 1.0, seed=np.uint64(2**64 - 1))
+    for seed in (-1, 2**64, 2**70, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            MechanismConfig(DigitSystem.PLAIN, 3, 10, 1.0, seed=seed)
+
+
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
 def test_zero_noise_is_exact(variant, k):
     T = 150
@@ -71,8 +87,10 @@ def test_zero_noise_is_exact(variant, k):
 def test_feed_guards():
     cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 4, 1.0, zero_noise=True)
     mech = Mechanism(cfg)
-    with pytest.raises(ValueError):
-        mech.feed(2)
+    for x in (2, -1, 1.0, 0.0, True, False, np.int64(1), "1"):
+        with pytest.raises(ValueError):
+            mech.feed(x)
+    assert mech.t == 0
     for b in (1, 0, 1, 1):
         mech.feed(b)
     with pytest.raises(MechanismStateError):
@@ -140,6 +158,37 @@ def test_ledger_tracks_current_keys(variant, k):
     for t in range(1, T + 1):
         mech.feed(1 if t % 2 else 0)
         assert mech.ledger_keys() == keysets[t - 1]
+        assert mech.ledger_size == len(keysets[t - 1])
+
+
+def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int]) -> float:
+    """0.0 plus the level sums from level h-1 down to 0; each level sum is
+    0.0 plus that level's draws in walk order (the mechanisms docstring)."""
+    digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
+    walk = iter(keys)
+    noise = 0.0
+    for lvl in range(cfg.height - 1, -1, -1):
+        level_sum = 0.0
+        for _ in range(abs(digits[lvl])):
+            level_sum += vertex_laplace(cfg.scale, cfg.seed, next(walk))
+        noise += level_sum
+    assert next(walk, None) is None
+    return noise
+
+
+@pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
+def test_feed_sums_in_canonical_order(variant, k):
+    # pinned on the definition itself, not only on streaming == oracle
+    for h in (1, 2, 3, 4):
+        T = max_value(variant, k, h)
+        cfg = MechanismConfig(variant, k, T, 1.0, seed=31 + h)
+        assert cfg.height == h
+        bits = _random_bits(T, h)
+        mech = Mechanism(cfg)
+        true_sum = 0
+        for t, (b, keys) in enumerate(zip(bits, output_keys(cfg)), start=1):
+            true_sum += b
+            assert mech.feed(b) == true_sum + canonical_noise(cfg, t, keys)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from karycount.noise import (
+    _mix64,
+    _mix64_int,
     CalibrationResult,
     NoiseRegime,
     SensitivityPair,
@@ -199,7 +201,32 @@ def test_l2_laplace_scale_exceeds_pure_requirement(eps, delta):
     assert 0 < a < eps
 
 
-@given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=0, max_value=2**40))
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**40))
 def test_vertex_uniform_always_open_interval(seed, index):
     u = vertex_uniform(seed, index)
     assert 0.0 < u < 1.0
+
+
+def test_splitmix64_first_output():
+    # splitmix64's published first output for state 0
+    assert _mix64_int(0) == 0xE220A8397B1DCDAF
+    with np.errstate(over="ignore"):
+        assert int(_mix64(np.uint64(0))) == 0xE220A8397B1DCDAF
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**40))
+def test_vertex_uniform_int_path_equals_array_path(seed, index):
+    # the Python-int body and the numpy uint64 body are the same hash, bit for bit
+    scalar = vertex_uniform(seed, index)
+    array = vertex_uniform(seed, np.array([index], dtype=np.uint64))
+    assert type(scalar) is float
+    assert scalar == float(array[0])
+
+
+@pytest.mark.parametrize("seed,index", [(2**64, 1), (-1, 1), (1, 2**64), (1, -1)])
+def test_vertex_uniform_int_path_rejects_out_of_range(seed, index):
+    # no silent wrap mod 2^64; numpy raises the same error converting these ints
+    with pytest.raises(OverflowError):
+        vertex_uniform(seed, index)
+    with pytest.raises(OverflowError):
+        vertex_laplace(1.0, seed, index)
