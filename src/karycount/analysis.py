@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digits import DigitSystem, digit_bounds, max_value
-from .mechanisms import MechanismConfig, output_keys
+from .mechanisms import BatchRunner, MechanismConfig, output_keys
 from .noise import vertex_laplace
 
 LOG2E = math.log2(math.e)
@@ -24,6 +24,11 @@ LOG2E = math.log2(math.e)
 #: Leading constant of the Gaussian-noise factorization error bound,
 #: 4 / (pi^2 * log2(e)^3), in front of log2(T)^2 * log2(1/delta) / eps^2.
 B_EPS_DELTA = 4.0 / (math.pi**2 * LOG2E**3)
+
+#: Elements of one (outputs x trials) array in `empirical_mse`: its trials
+#: are drawn in blocks of this size, 512 KiB of float64, which bounds the
+#: memory they hold and keeps each array in a core's cache.
+TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 
 def natural_max_T(variant: DigitSystem, k: int, h: int) -> int:
@@ -185,19 +190,15 @@ def exhaustive_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> floa
     return (total / T) * 2.0 * h**2 / epsilon**2
 
 
-def empirical_mse(
-    config: MechanismConfig,
-    trials: int,
-    seed: int | None = None,
-    chunk: int = 20000,
-) -> ErrorReport:
+def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None) -> ErrorReport:
     """Monte-Carlo MSE over seeded runs, with per-trial standard error.
 
     Trial i draws its vertex noise under seed + i (one independent
     mechanism run each); the additive noise, not the input, determines the
-    error, so the squared-error matrix is assembled directly from the key
-    sets.  The closed form is reported at the variant's natural maximum T
-    for the config's height.
+    error, so each trial's errors are the `BatchRunner` noise sums over all
+    T outputs.  Trials go in blocks of about `TRIAL_BLOCK_ELEMENTS` draws
+    or outputs, whichever is more.  The closed form is reported at the
+    variant's natural maximum T for the config's height.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -205,24 +206,18 @@ def empirical_mse(
     if not 0 <= base_seed <= 2**64 - trials:
         raise ValueError(f"trial seeds {base_seed} + [0, {trials}) must lie in [0, 2^64)")
     h = config.height
-    keysets = output_keys(config)
-    uniq = sorted({p for keys in keysets for p in keys})
-    index = {p: i for i, p in enumerate(uniq)}
-    A = np.zeros((config.T, len(uniq)))
-    for row, keys in enumerate(keysets):
-        for p in keys:
-            A[row, index[p]] += 1.0
-    key_arr = np.array(uniq, dtype=np.int64)
+    runner = BatchRunner(config)
+    n_keys = len(runner.keys)
+    block = max(1, TRIAL_BLOCK_ELEMENTS // max(config.T, n_keys + 1))
 
     per_trial = np.empty(trials)
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
+    for done in range(0, trials, block):
+        n = min(block, trials - done)
         seeds = np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64)
-        Z = vertex_laplace(config.scale, seeds[:, None], key_arr[None, :])
-        err = Z @ A.T
-        per_trial[done : done + n] = np.mean(err**2, axis=1)
-        done += n
+        z = np.zeros((n_keys + 1, n))  # the last row is the sentinel
+        z[:-1] = vertex_laplace(config.scale, seeds[None, :], runner.keys[:, None])
+        err = runner.noise_sum(z)
+        per_trial[done : done + n] = np.einsum("ij,ij->j", err, err) / config.T
 
     est = float(per_trial.mean())
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

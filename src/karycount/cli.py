@@ -215,6 +215,8 @@ def cmd_bench(args, out) -> int:
         report = analysis.empirical_mse(cfg, trials=args.trials, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc))
+    except (OverflowError, MemoryError) as exc:
+        raise UsageError(f"--k {args.k} --h {args.h} is too large to simulate: {exc}")
     out.write(f"# seed={seed}\n")
     out.write("variant,k,h,T,epsilon,trials,empirical_mse,se,closed_form\n")
     out.write(

@@ -14,17 +14,18 @@ children are added, right children subtracted), and since Laplace noise is
 symmetric the ledger stores one draw per vertex which is always *added* to
 the output, for both added and subtracted vertices.
 
-Canonical summation order, used by `Mechanism.feed` and `TreeOracle.run`
-alike: the noise of an output is 0.0 plus each level's sum, from level
-h-1 down to level 0, and each level's sum is 0.0 plus that level's draws
-in digit-walk order.  The true prefix sum is added last.  Any other order
+Canonical summation order, used by `Mechanism.feed`, `TreeOracle.run` and
+`BatchRunner` alike: the noise of an output is 0.0 plus each level's sum,
+from level h-1 down to level 0, and each level's sum is 0.0 plus that
+level's draws in digit-walk order.  The true prefix sum is added last.  Any other order
 gives the same distribution but may differ in the last bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,32 +192,72 @@ class Mechanism:
         return self._true_sum + acc[0]
 
 
-def new_mechanism(config: MechanismConfig) -> Mechanism:
-    return Mechanism(config)
+def _all_times(config: MechanismConfig) -> np.ndarray:
+    """The times 1..T as an int64 array, after `_check_int64`."""
+    _check_int64(config)
+    return np.arange(1, config.T + 1, dtype=np.int64)
 
 
-def output_keys(config: MechanismConfig):
+def _check_int64(config: MechanismConfig) -> None:
+    """Raise `OverflowError` unless every time and key of the tree fits in int64."""
+    # every key and every time is at most max_value(h) < k^h
+    if config.k**config.height > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"k={config.k}, h={config.height} (T={config.T}): "
+            "times and vertex keys do not fit in int64"
+        )
+
+
+def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex keys of the outputs at `times`, one padded row per time.
+
+    Returns (keys, mask), both of shape (len(times), h*m), where m is the
+    largest digit magnitude.  The columns are h blocks of m slots, one per
+    level from h-1 down to 0 (walk order); slot j of a block holds the
+    (j+1)-th vertex walked at that level, and `mask` marks the slots in use.
+    Unused slots hold 0.  A row's keys in use are `Mechanism.ledger_keys()`
+    after that step.  Only the given times are encoded, by `%` and `//` per
+    level as `digits.encode` does.
+    """
+    _check_int64(config)
+    t = np.asarray(times, dtype=np.int64)
+    if t.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
+    if len(t) and (t.min() < 1 or t.max() > config.T):
+        raise ValueError(f"times must lie in [1, T={config.T}]")
+    h, k = config.height, config.k
+    lo, hi = digit_bounds(config.variant, k)
+    m = max(hi, -lo)
+    digits = np.empty((h, len(t)), dtype=np.int64)  # least-significant first
+    rem = t
+    for lvl in range(h):
+        d = rem % k
+        d[d > hi] -= k
+        rem = (rem - d) // k
+        digits[lvl] = d
+    keys = np.zeros((len(t), h * m), dtype=np.int64)
+    mask = np.zeros((len(t), h * m), dtype=bool)
+    slot = np.arange(1, m + 1, dtype=np.int64)
+    base = np.zeros(len(t), dtype=np.int64)  # value of the digits above the level
+    for block, lvl in enumerate(range(h - 1, -1, -1)):
+        d = digits[lvl][:, None]
+        used = slot <= np.abs(d)
+        cols = slice(block * m, (block + 1) * m)
+        keys[:, cols] = np.where(used, base[:, None] + np.sign(d) * slot * k**lvl, 0)
+        mask[:, cols] = used
+        base += digits[lvl] * k**lvl
+    return keys, mask
+
+
+def output_keys(config: MechanismConfig) -> list[list[int]]:
     """Vertex indices consumed per output, in walk order.
 
-    Returns a list of length T; entry t-1 holds the indices whose noise
-    terms form the estimate at time t.  Input-independent.
+    A list view of `walk_keys` over all times: entry t-1 holds the indices
+    whose noise terms form the estimate at time t.  Input-independent.
     """
-    h = config.height
-    k = config.k
-    pows = [k**i for i in range(h + 1)]
-    out: list[list[int]] = []
-    for t in range(1, config.T + 1):
-        v = encode(t, k, h, config.variant)
-        p = 0
-        keys: list[int] = []
-        for lvl in range(h - 1, -1, -1):
-            d = v.digits[lvl]
-            step = pows[lvl] if d > 0 else -pows[lvl]
-            for _ in range(abs(d)):
-                p += step
-                keys.append(p)
-        out.append(keys)
-    return out
+    keys, mask = walk_keys(config, _all_times(config))
+    flat = iter(keys[mask].tolist())
+    return [list(itertools.islice(flat, n)) for n in mask.sum(axis=1).tolist()]
 
 
 class TreeOracle:
@@ -238,13 +279,6 @@ class TreeOracle:
         self._cum = [0]
         for b in self.bits:
             self._cum.append(self._cum[-1] + b)
-
-    def subtree_sum(self, level: int, j: int) -> int:
-        """Exact sum over the j-th (0-based) level-`level` vertex interval."""
-        width = self.config.k ** (level - 1)
-        a, b = j * width, (j + 1) * width
-        T = self.config.T
-        return self._cum[min(b, T)] - self._cum[min(a, T)]
 
     def _interval_sum(self, a: int, b: int) -> int:
         T = self.config.T
@@ -286,37 +320,81 @@ def run_oracle(bits, config: MechanismConfig) -> list[float]:
 
 
 class BatchRunner:
-    """Vectorized repeated runs of a fixed configuration.
+    """Vectorized repeated runs of a fixed configuration at chosen times.
 
-    Precomputes the key sets once; each run only needs one noise vector and
-    a matrix product.  Outputs agree with `feed` up to floating-point
-    summation order (same distribution, not bit-identical).
+    The keys of the requested outputs are walked once (`walk_keys`).  A
+    vertex key fixes its level, its sign and its slot in the level's walk,
+    so the level sum that ends at a vertex is the same in every output that
+    walks to it.  The runner therefore stores, per output and level, only
+    the index of the last vertex walked there (an index into the sorted
+    unique keys; an empty level points one past the last key, at a sentinel
+    draw of 0.0), and per vertex the index of the one walked before it.
+
+    A run draws one noise vector over the unique keys, turns it into the
+    running level sums along those chains, and adds the level sums of each
+    output from level h-1 down to 0: the canonical order of the module
+    docstring.  The draws come from the array path of `vertex_laplace`
+    (`np.log1p`, where `feed` uses `math.log1p`), so a run equals `feed` in
+    distribution and may differ in the last bits.  Memory is
+    O(len(times) * h) indices, after a walk of O(len(times) * h * m).
     """
 
     def __init__(self, config: MechanismConfig, times=None):
         self.config = config
-        keysets = output_keys(config)
-        if times is None:
-            times = list(range(1, config.T + 1))
-        self.times = list(times)
-        uniq = sorted({p for t in self.times for p in keysets[t - 1]})
-        self._index = {p: i for i, p in enumerate(uniq)}
-        self.keys = np.array(uniq, dtype=np.int64)
-        self.A = np.zeros((len(self.times), len(uniq)))
-        for row, t in enumerate(self.times):
-            for p in keysets[t - 1]:
-                self.A[row, self._index[p]] += 1.0
+        self.times = _all_times(config) if times is None else np.asarray(times, dtype=np.int64)
+        if not len(self.times):
+            raise ValueError("times must not be empty")
+        keys, mask = walk_keys(config, self.times)
+        self.keys = np.unique(keys[mask])
+        sentinel = len(self.keys)
+        rows, h = len(self.times), config.height
+        pos = np.full(keys.shape, sentinel, dtype=np.intp)
+        pos[mask] = np.searchsorted(self.keys, keys[mask])
+        m = keys.shape[1] // h
+        pos, mask = pos.reshape(rows, h, m), mask.reshape(rows, h, m)
+        # index[l, r]: last vertex of output r at the l-th level in walk
+        # order; levels no output uses add 0.0 everywhere and are dropped
+        weight = mask.sum(axis=2)
+        last = np.take_along_axis(pos, np.maximum(weight - 1, 0)[:, :, None], axis=2)[:, :, 0]
+        last[weight == 0] = sentinel
+        self.index = np.ascontiguousarray(last.T[(weight > 0).any(axis=0)])
+        # (vertices in slot j, the vertices walked just before them), j >= 1
+        self._chain = []
+        for j in range(1, m):
+            walked = mask[:, :, j]
+            child, first = np.unique(pos[:, :, j][walked], return_index=True)
+            if len(child):
+                self._chain.append((child, pos[:, :, j - 1][walked][first]))
+        # true counts are block sums of the input between consecutive times
+        self._ends, self._rows = np.unique(self.times, return_inverse=True)
+        self._starts = np.concatenate(([0], self._ends[:-1]))
 
-    def noise_vector(self, seed: int) -> np.ndarray:
-        return np.atleast_1d(vertex_laplace(self.config.scale, seed, self.keys))
+    def noise_sum(self, z: np.ndarray) -> np.ndarray:
+        """Per output, the draws `z` over its keys summed in canonical order.
+
+        `z` has one draw per key of `self.keys` and then the sentinel 0.0,
+        along its first axis; further axes (trials) are carried through.
+        """
+        # running level sums, slot by slot: 0.0 + z1, then (0.0 + z1) + z2, ...
+        level = z.copy()
+        for child, parent in self._chain:
+            level[child] += level[parent]
+        noise = np.take(level, self.index[0], axis=0)  # 0.0 plus the top level
+        term = np.empty_like(noise)
+        for idx in self.index[1:]:
+            noise += np.take(level, idx, axis=0, out=term)
+        return noise
 
     def run(self, bits, seed: int) -> np.ndarray:
         """Estimates at the selected times for one seeded run."""
+        bits = np.asarray(bits)
         if len(bits) != self.config.T:
             raise ValueError(f"input length {len(bits)} != T={self.config.T}")
-        cum = np.concatenate([[0], np.cumsum(np.asarray(bits))])
-        true_at = cum[self.times]
-        return true_at + self.A @ self.noise_vector(seed)
+        z = np.zeros(len(self.keys) + 1)
+        z[:-1] = vertex_laplace(self.config.scale, seed, self.keys)
+        # unique ends keep every segment non-empty; the last ends at max(times)
+        segments = np.add.reduceat(bits[: self._ends[-1]], self._starts, dtype=np.int64)
+        return np.cumsum(segments)[self._rows] + self.noise_sum(z)
 
 
 @dataclass

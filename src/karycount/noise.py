@@ -182,17 +182,17 @@ class CalibrationResult:
 
 def calibrate_pure_laplace(delta1: float, epsilon: float) -> CalibrationResult:
     """Laplace scale delta1/epsilon for pure epsilon-DP."""
-    if delta1 <= 0:
-        raise ValueError(f"delta1 must be > 0, got {delta1}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(delta1) and delta1 > 0):
+        raise ValueError(f"delta1 must be finite and > 0, got {delta1}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return CalibrationResult(delta1 / epsilon, epsilon, 0.0, NoiseRegime.PURE_LAPLACE)
 
 
 def calibrate_gaussian(delta2: float, epsilon: float, delta: float) -> CalibrationResult:
     """Gaussian sigma = delta2 * sqrt(2 ln(1.25/delta)) / epsilon."""
-    if delta2 <= 0:
-        raise ValueError(f"delta2 must be > 0, got {delta2}")
+    if not (math.isfinite(delta2) and delta2 > 0):
+        raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0 < delta < 1:
@@ -218,8 +218,8 @@ def l2_laplace_a(epsilon: float, delta: float) -> float:
 
 def calibrate_l2_laplace(delta2: float, epsilon: float, delta: float) -> CalibrationResult:
     """Laplace scale delta2/a for (epsilon, delta)-DP via l2-sensitivity."""
-    if delta2 <= 0:
-        raise ValueError(f"delta2 must be > 0, got {delta2}")
+    if not (math.isfinite(delta2) and delta2 > 0):
+        raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
     a = l2_laplace_a(epsilon, delta)
     return CalibrationResult(delta2 / a, epsilon, delta, NoiseRegime.L2_LAPLACE, a_param=a)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,25 @@ def test_calibrate_requires_delta_with_delta2(monkeypatch, capsys):
     )
     assert code == 1
     assert "--delta" in err
+
+
+NON_FINITE_CALIBRATIONS = [
+    ["--delta1", "3", "--epsilon", "inf"],
+    ["--delta1", "3", "--epsilon", "nan"],
+    ["--delta1", "inf", "--epsilon", "1"],
+    ["--delta1", "nan", "--epsilon", "1"],
+    ["--delta2", "inf", "--epsilon", "0.5", "--delta", "1e-6"],
+    ["--delta2", "nan", "--epsilon", "0.5", "--delta", "1e-6"],
+]
+
+
+@pytest.mark.parametrize("args", NON_FINITE_CALIBRATIONS, ids=" ".join)
+def test_calibrate_rejects_non_finite(args, monkeypatch, capsys):
+    # epsilon=inf gave a Laplace scale of 0 with exit 0, nan a nan scale
+    code, out, err = run_cli(["calibrate", *args], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "must be finite" in err
+    assert "laplace" not in out and "gaussian" not in out
 
 
 def test_analyze_constants(monkeypatch, capsys):
@@ -347,3 +367,34 @@ def test_file_sink_keeps_rows_before_bad_token(tmp_path, monkeypatch, capsys):
     assert "line 4" in err
     rows = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
     assert rows == ["t,estimate", "1,1", "2,1", "3,2"]
+
+
+def test_bench_height_past_int64_is_usage_error():
+    # T = (19^20 - 1)/2 ~ 1.9e25: once a hang in a per-step walk over all T
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "karycount.cli", "bench", "--k", "19", "--h", "20"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage error:") and "int64" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_bench_k19_h4_memory(monkeypatch, capsys):
+    # T = 65,160 outputs: a dense outputs x vertices float64 matrix would be 31.6 GiB
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            ["bench", "--variant", "offset-odd", "--k", "19", "--h", "4", "--trials", "20"],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[-1].startswith("offset-odd,19,4,65160,1,20,")
+    assert peak <= 200 * 2**20

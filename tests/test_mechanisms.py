@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karycount.digits import DigitSystem, encode, max_value, weight
+from karycount.digits import DigitSystem, digit_bounds, encode, max_value, weight
 from karycount.mechanisms import (
     BatchRunner,
     Mechanism,
@@ -15,6 +15,7 @@ from karycount.mechanisms import (
     output_keys,
     run_oracle,
     sensitivity_audit,
+    walk_keys,
 )
 from karycount.noise import vertex_laplace
 
@@ -30,6 +31,17 @@ VARIANT_ARITIES = [
 
 def _random_bits(T, seed):
     return np.random.default_rng(seed).integers(0, 2, size=T).tolist()
+
+
+def output_keys_at(cfg: MechanismConfig, t: int) -> list[int]:
+    """The walk of one time step, written out with `digits.encode`."""
+    digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
+    p, keys = 0, []
+    for lvl in range(cfg.height - 1, -1, -1):
+        for _ in range(abs(digits[lvl])):
+            p += cfg.k**lvl if digits[lvl] > 0 else -(cfg.k**lvl)
+            keys.append(p)
+    return keys
 
 
 def test_config_heights():
@@ -149,6 +161,132 @@ def test_batch_runner_selected_times():
 
 
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
+def test_batch_runner_is_true_plus_canonical_vector_draws(variant, k):
+    # exact: each output is its prefix sum plus the canonical-order sum of
+    # the array-path draws over its walk
+    for h in (1, 2, 3):
+        T = max_value(variant, k, h)
+        cfg = MechanismConfig(variant, k, T, 1.0)
+        bits = _random_bits(T, h)
+        seed = 40 + h
+        runner = BatchRunner(cfg)
+        draws = dict(zip(runner.keys.tolist(),
+                         vertex_laplace(cfg.scale, seed, runner.keys).tolist()))
+        got = runner.run(bits, seed=seed)
+        true_sum = 0
+        for t, b in enumerate(bits, start=1):
+            true_sum += b
+            noise = canonical_noise(cfg, t, output_keys_at(cfg, t), draws.__getitem__)
+            assert got[t - 1] == true_sum + noise
+
+
+def test_batch_runner_unsorted_duplicate_times():
+    T = 200
+    cfg = MechanismConfig(DigitSystem.OFFSET_EVEN, 6, T, 1.0)
+    bits = np.array(_random_bits(T, 5), dtype=np.int8)
+    full = BatchRunner(cfg).run(bits, seed=12)
+    for times in ([77, 3, 150, 3, 1, 77, 77], [150, 149, 2], [5], [200, 1]):
+        got = BatchRunner(cfg, times=times).run(bits, seed=12)
+        # the last time may fall short of T; rows are computed one by one
+        assert np.array_equal(got, full[np.array(times) - 1])
+    exact = MechanismConfig(DigitSystem.OFFSET_EVEN, 6, T, 1.0, zero_noise=True)
+    times = [9, 190, 9, 40]
+    assert BatchRunner(exact, times=times).run(bits, seed=0).tolist() == [
+        int(bits[:t].sum()) for t in times
+    ]
+    with pytest.raises(ValueError, match="empty"):
+        BatchRunner(cfg, times=[])
+
+
+def test_batch_runner_builds_at_a_trillion():
+    # only the requested times are walked
+    T = 10**12
+    cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, T, 1.0)
+    runner = BatchRunner(cfg, times=[T])
+    assert runner.keys.tolist() == sorted(output_keys_at(cfg, T))
+    assert len(runner.keys) == weight(encode(T, 3, cfg.height, DigitSystem.OFFSET_ODD))
+    assert runner.index.shape[1] == 1
+
+
+def test_walk_keys_bounds():
+    cfg = MechanismConfig(DigitSystem.PLAIN, 3, 100, 1.0)
+    for times in ([0], [101], [[1, 2]]):
+        with pytest.raises(ValueError):
+            walk_keys(cfg, times)
+    keys, mask = walk_keys(cfg, [])
+    assert keys.shape == mask.shape == (0, cfg.height * 2)
+    with pytest.raises(OverflowError, match="int64"):
+        walk_keys(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), [1])
+
+
+# small arities of every variant; at h = 6 the largest T is 58,824 (offset-odd k=7)
+WALK_CASES = [
+    (DigitSystem.PLAIN, 2),
+    (DigitSystem.PLAIN, 3),
+    (DigitSystem.PLAIN, 5),
+    (DigitSystem.OFFSET_ODD, 3),
+    (DigitSystem.OFFSET_ODD, 5),
+    (DigitSystem.OFFSET_ODD, 7),
+    (DigitSystem.OFFSET_EVEN, 4),
+    (DigitSystem.OFFSET_EVEN, 6),
+]
+
+
+def walk_config(case, h: int, data) -> MechanismConfig:
+    """A config of height exactly h, with T drawn from that height's range."""
+    variant, k = case
+    low = max_value(variant, k, h - 1) + 1 if h > 1 else 1
+    T = data.draw(st.integers(low, max_value(variant, k, h)), label="T")
+    cfg = MechanismConfig(variant, k, T, 1.0, zero_noise=True)
+    assert cfg.height == h
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(WALK_CASES), st.integers(1, 6), st.data())
+def test_walk_keys_rows_are_the_ledger(case, h, data):
+    cfg = walk_config(case, h, data)
+    keys, mask = walk_keys(cfg, np.arange(1, cfg.T + 1))
+    mech = Mechanism(cfg)
+    for t in range(1, cfg.T + 1):
+        mech.feed(0)
+        assert mech.ledger_keys() == keys[t - 1][mask[t - 1]].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WALK_CASES), st.integers(1, 6), st.data())
+def test_walk_keys_row_weight_any_times(case, h, data):
+    cfg = walk_config(case, h, data)
+    times = data.draw(st.lists(st.integers(1, cfg.T), max_size=50), label="times")
+    keys, mask = walk_keys(cfg, times)
+    lo, hi = digit_bounds(cfg.variant, cfg.k)
+    assert keys.shape == mask.shape == (len(times), h * max(hi, -lo))
+    assert not keys[~mask].any()
+    for row, t in enumerate(times):
+        assert mask[row].sum() == weight(encode(t, cfg.k, h, cfg.variant))
+        assert keys[row][mask[row]].tolist() == output_keys_at(cfg, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(WALK_CASES), st.integers(1, 6))
+def test_each_key_is_one_vertex(case, h):
+    # over every output of the full tree, a key always stands for the same
+    # level and the same interval: the walk's step from the previous position
+    variant, k = case
+    cfg = MechanismConfig(variant, k, max_value(variant, k, h), 1.0)
+    keys, mask = walk_keys(cfg, np.arange(1, cfg.T + 1))
+    rows, cols = np.nonzero(mask)
+    p = keys[rows, cols]
+    level = h - 1 - cols // (keys.shape[1] // h)
+    start = np.concatenate(([True], rows[1:] != rows[:-1]))
+    prev = np.where(start, 0, np.concatenate(([0], p[:-1])))
+    lo, hi = np.minimum(prev, p), np.maximum(prev, p)
+    assert np.array_equal(hi - lo, k ** level)
+    vertices = np.unique(np.stack([p, level, lo]), axis=1)
+    assert vertices.shape[1] == len(np.unique(p))
+
+
+@pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
 def test_ledger_tracks_current_keys(variant, k):
     # the lazy ledger holds exactly the vertices of the current output's walk
     T = 150
@@ -161,16 +299,19 @@ def test_ledger_tracks_current_keys(variant, k):
         assert mech.ledger_size == len(keysets[t - 1])
 
 
-def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int]) -> float:
+def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int], draw=None) -> float:
     """0.0 plus the level sums from level h-1 down to 0; each level sum is
-    0.0 plus that level's draws in walk order (the mechanisms docstring)."""
+    0.0 plus that level's draws in walk order (the mechanisms docstring).
+    `draw(p)` gives vertex p's noise; by default the scalar `vertex_laplace`."""
+    if draw is None:
+        draw = lambda p: vertex_laplace(cfg.scale, cfg.seed, p)
     digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
     walk = iter(keys)
     noise = 0.0
     for lvl in range(cfg.height - 1, -1, -1):
         level_sum = 0.0
         for _ in range(abs(digits[lvl])):
-            level_sum += vertex_laplace(cfg.scale, cfg.seed, next(walk))
+            level_sum += draw(next(walk))
         noise += level_sum
     assert next(walk, None) is None
     return noise

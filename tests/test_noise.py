@@ -113,6 +113,20 @@ def test_calibrate_pure_laplace():
     assert res.delta == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_calibration_rejects_non_finite(bad):
+    # epsilon=inf once gave a Laplace scale of 0, an exact release
+    calls = [
+        lambda: calibrate_pure_laplace(bad, 1.0),
+        lambda: calibrate_pure_laplace(3.0, bad),
+        lambda: calibrate_gaussian(bad, 0.5, 1e-6),
+        lambda: calibrate_l2_laplace(bad, 0.5, 1e-6),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite|must be in"):
+            call()
+
+
 def test_calibrate_gaussian_known_value():
     res = calibrate_gaussian(1.0, 1.0, 1e-5)
     assert res.scale_or_sigma == pytest.approx(4.844805262605389, abs=1e-12)
