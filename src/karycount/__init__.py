@@ -10,10 +10,6 @@ from .digits import (
     DigitVector,
     decode,
     encode,
-    encode_offset_even,
-    encode_offset_odd,
-    encode_plain,
-    increment,
     weight,
 )
 from .mechanisms import (
@@ -28,13 +24,10 @@ from .mechanisms import (
 from .noise import (
     CalibrationResult,
     NoiseRegime,
-    SensitivityPair,
     calibrate_gaussian,
     calibrate_l2_laplace,
     calibrate_pure_laplace,
     epsilon_of_laplace,
-    sample_gaussian,
-    sample_laplace,
     variance_ratio_bound,
 )
 from .analysis import (
@@ -65,10 +58,6 @@ __all__ = [
     "DigitVector",
     "decode",
     "encode",
-    "encode_offset_even",
-    "encode_offset_odd",
-    "encode_plain",
-    "increment",
     "weight",
     "BatchRunner",
     "Mechanism",
@@ -79,13 +68,10 @@ __all__ = [
     "sensitivity_audit",
     "CalibrationResult",
     "NoiseRegime",
-    "SensitivityPair",
     "calibrate_gaussian",
     "calibrate_l2_laplace",
     "calibrate_pure_laplace",
     "epsilon_of_laplace",
-    "sample_gaussian",
-    "sample_laplace",
     "variance_ratio_bound",
     "CrossoverReport",
     "ErrorReport",

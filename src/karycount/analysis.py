@@ -76,12 +76,6 @@ def mse_offset_even(k: int, h: int, epsilon: float) -> float:
     return float(c / T) * 2.0 * h**2 / epsilon**2
 
 
-def mse_offset_even_leading(k: int, h: int, epsilon: float) -> float:
-    """Leading-order even-k form k h^3 / (2 eps^2 (1 - k^-h)), for asymptotics."""
-    digit_bounds(DigitSystem.OFFSET_EVEN, k)
-    return k * h**3 / (2.0 * epsilon**2 * (1.0 - k ** (-h)))
-
-
 def closed_form_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> float:
     if variant is DigitSystem.PLAIN:
         return mse_plain(k, h, epsilon)

@@ -301,9 +301,11 @@ def cmd_lowerbound(args, out) -> int:
             T=args.T, k=args.k, epsilon=args.epsilon,
             trials=args.trials, seed=seed, zero_noise=args.zero_noise,
         )
+        report = lowerbound.packing_experiment(cfg)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = lowerbound.packing_experiment(cfg)
+    except (OverflowError, MemoryError) as exc:
+        raise UsageError(f"--T {args.T} is too large to simulate: {exc}")
     out.write(f"# seed={seed}\n")
     out.write(
         f"# B={cfg.B} m={cfg.m} alpha={fmt(cfg.alpha)} "

@@ -99,49 +99,12 @@ def encode(t: int, k: int, w: int, system: DigitSystem) -> DigitVector:
     return DigitVector(tuple(digits), k, system)
 
 
-def encode_plain(t: int, k: int, w: int) -> DigitVector:
-    return encode(t, k, w, DigitSystem.PLAIN)
-
-
-def encode_offset_odd(t: int, k: int, w: int) -> DigitVector:
-    return encode(t, k, w, DigitSystem.OFFSET_ODD)
-
-
-def encode_offset_even(t: int, k: int, w: int) -> DigitVector:
-    return encode(t, k, w, DigitSystem.OFFSET_EVEN)
-
-
 def decode(v: DigitVector) -> int:
     """Integer value sum_i k^(i-1) * digits_i."""
     value = 0
     for d in reversed(v.digits):
         value = value * v.base + d
     return value
-
-
-def increment(v: DigitVector) -> DigitVector:
-    """Representation of decode(v) + 1 at the same fixed width.
-
-    Carries propagate while digits overflow their high bound; an overflow
-    past the most significant digit is a range error (widths are fixed at
-    construction, matching how the mechanisms size their trees up front).
-    """
-    lo, hi = digit_bounds(v.system, v.base)
-    digits = list(v.digits)
-    i = 0
-    while True:
-        if i >= len(digits):
-            raise ValueError(
-                f"increment overflows width {len(digits)} "
-                f"({v.system.value} k={v.base})"
-            )
-        if digits[i] == hi:
-            digits[i] = lo
-            i += 1
-        else:
-            digits[i] += 1
-            break
-    return DigitVector(tuple(digits), v.base, v.system)
 
 
 def weight(v: DigitVector) -> int:

@@ -53,11 +53,12 @@ class LowerBoundConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3
-        if not (isinstance(self.seed, (int, np.integer))
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
                 and 0 <= self.seed <= 2**64 - 4 * self.trials):
             raise ValueError(
                 f"seed must be an integer in [0, 2^64 - 4*trials], got {self.seed!r}"
             )
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def B(self) -> int:
@@ -163,32 +164,22 @@ def derive_xi(
 def run_distinguisher(mechanism, y, y_prime, config: LowerBoundConfig, seeds) -> int | None:
     """First block end where two seeded runs differ by more than k/2.
 
-    `mechanism(bits, seed)` returns the T estimates; the difference is
-    inspected at t = B, 2B, ..., mB and the 1-based index of the first
-    excess is returned, or None.
+    `mechanism(bits, seed)` returns the m estimates at t = B, 2B, ..., mB;
+    the 1-based index of the first block end where the difference exceeds
+    k/2 is returned, or None.
     """
     if len(y) != config.T or len(y_prime) != config.T:
         raise ValueError("inputs must have length T")
-    a = np.asarray(mechanism(y, seeds[0]), dtype=float)
-    b = np.asarray(mechanism(y_prime, seeds[1]), dtype=float)
-    if len(a) == config.m:  # mechanism already evaluated at block ends only
-        diff = a - b
-    else:
-        ends = np.arange(config.B, config.T + 1, config.B) - 1
-        diff = a[ends] - b[ends]
+    diff = mechanism(y, seeds[0]) - mechanism(y_prime, seeds[1])
     over = np.flatnonzero(diff > config.k / 2.0)
     return int(over[0]) + 1 if len(over) else None
 
 
-def tree_mechanism_factory(
-    config: LowerBoundConfig,
-    variant: DigitSystem = DigitSystem.OFFSET_ODD,
-    k: int = 3,
-):
-    """Default mechanism under test: a k-ary subtraction tree at config.epsilon."""
+def tree_mechanism_factory(config: LowerBoundConfig):
+    """The mechanism under test: an offset-odd k=3 tree at config.epsilon."""
     mech_cfg = MechanismConfig(
-        variant=variant,
-        k=k,
+        variant=DigitSystem.OFFSET_ODD,
+        k=3,
         T=config.T,
         epsilon=config.epsilon,
         zero_noise=config.zero_noise,
@@ -219,15 +210,14 @@ class PackingReport:
     k_threshold: float  # epsilon^-1 * ln(m/2): flip counts below this are infeasible
 
 
-def packing_experiment(config: LowerBoundConfig, mechanism=None) -> PackingReport:
+def packing_experiment(config: LowerBoundConfig) -> PackingReport:
     """Monte-Carlo estimates of the distinguishing events and the packing sum.
 
     Each trial draws a fresh base string, targets one block i (cycling), and
     runs the distinguisher on (x^(i), x^(0)) and on the null pair
     (x^(0), x^(0)) with independent derived seeds.
     """
-    if mechanism is None:
-        mechanism = tree_mechanism_factory(config)
+    mechanism = tree_mechanism_factory(config)
     m = config.m
     hits = np.zeros(m)
     totals = np.zeros(m)

@@ -4,10 +4,10 @@
 current time step and a lazy ledger of Laplace noise terms keyed by tree
 vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the batch `TreeOracle`, which
-walks an explicit tree of subtree sums, produces bit-identical outputs
-under the same seed.  That pointwise equality is deliberately stronger than
-the distributional equivalence it mirrors and is what the equivalence tests
-pin down.
+walks an explicit tree of subtree sums, and the vectorized `BatchRunner`
+produce bit-identical outputs under the same seed.  That pointwise
+equality is deliberately stronger than the distributional equivalence it
+mirrors and is what the equivalence tests pin down.
 
 Sign convention: a vertex is always consumed with the same role (left
 children are added, right children subtracted), and since Laplace noise is
@@ -48,8 +48,11 @@ class MechanismConfig:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        # a Python int, so a scalar draw takes the int hash
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def height(self) -> int:
@@ -82,7 +85,7 @@ class Mechanism:
         self.config = config
         self.h = config.height
         self.scale = config.scale
-        self._seed = int(config.seed)  # a numpy seed would miss the int hash
+        self._seed = config.seed
         self._lo, self._hi = digit_bounds(config.variant, config.k)
         self._pows = [config.k**i for i in range(self.h + 1)]
         self._digits = [0] * self.h
@@ -333,10 +336,8 @@ class BatchRunner:
     A run draws one noise vector over the unique keys, turns it into the
     running level sums along those chains, and adds the level sums of each
     output from level h-1 down to 0: the canonical order of the module
-    docstring.  The draws come from the array path of `vertex_laplace`
-    (`np.log1p`, where `feed` uses `math.log1p`), so a run equals `feed` in
-    distribution and may differ in the last bits.  Memory is
-    O(len(times) * h) indices, after a walk of O(len(times) * h * m).
+    docstring, so a run equals `feed` under the same seed bit for bit.
+    Memory is O(len(times) * h) indices, after a walk of O(len(times) * h * m).
     """
 
     def __init__(self, config: MechanismConfig, times=None):

@@ -1,15 +1,13 @@
 """Noise samplers and privacy calibration.
 
-Two sampling contracts live here:
-
-* `sample_laplace` / `sample_gaussian` draw from a caller-owned seeded
-  generator (single-owner, sequential);
-* `vertex_uniform` / `vertex_laplace` are counter-based: the value is a pure
-  function of (seed, index), so tree mechanisms can materialize the noise
-  for a vertex lazily and in any order while remaining reproducible.  The
-  hash is splitmix64, written twice: on Python ints for one (seed, index)
-  pair, the streaming hot path, and on numpy uint64 arrays for batches.
-  The two bodies are bit-identical, which the tests check.
+Sampling is counter-based: `vertex_uniform` and `vertex_laplace` give a
+value that is a pure function of (seed, index), so tree mechanisms can
+materialize the noise for a vertex lazily and in any order while remaining
+reproducible.  The hash is splitmix64, written twice: on Python ints for one
+(seed, index) pair, the streaming hot path, and on numpy uint64 arrays for
+batches.  The two bodies are bit-identical, which the tests check.  Both
+paths share one Laplace transform, `np.log1p`, so a vertex's draw is the
+same float whichever path computes it.
 
 Calibration covers three regimes: pure DP with Laplace noise scaled to the
 l1-sensitivity, approximate DP with Gaussian noise scaled to the
@@ -75,92 +73,48 @@ def _uniform_int(seed: int, index: int) -> float:
 def vertex_uniform(seed, index):
     """Uniform in (0, 1), a pure function of (seed, index).
 
-    Accepts scalars or numpy integer arrays (broadcasting applies).  Seed
-    and index must lie in [0, 2^64); a Python int outside raises
-    `OverflowError`, as numpy does.
+    Accepts a Python-int pair, which gives a float, or numpy integer arrays,
+    which give an array (broadcasting applies).  Seed and index must lie in
+    [0, 2^64); a Python int outside raises `OverflowError`, as numpy does.
     """
     if isinstance(seed, int) and isinstance(index, int):
         return _uniform_int(seed, index)
     with np.errstate(over="ignore"):
         s = _mix64(np.asarray(seed, dtype=np.uint64))
         h = _mix64(s ^ (np.asarray(index, dtype=np.uint64) * _C1))
-    u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    if np.isscalar(seed) and np.isscalar(index):
-        return float(u)
-    return u
+    return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+# the one Laplace transform of both paths: a scalar draw through `math.log1p`
+# may differ from the array draw in the last bit
+_log1p = np.log1p
 
 
 def vertex_laplace(scale, seed, index):
     """Laplace(0, scale) draw keyed by (seed, index); 0.0 when scale is 0.
 
     Inverse-CDF transform of `vertex_uniform`, so the value never depends
-    on how many other vertices have been materialized.
+    on how many other vertices have been materialized, nor on whether it is
+    drawn alone or in an array.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     if isinstance(seed, int) and isinstance(index, int):
         if scale == 0.0:
             return 0.0
-        u = _uniform_int(seed, index)
-    else:
-        u = vertex_uniform(seed, index)
-        if not np.isscalar(u):
-            if scale == 0.0:
-                return np.zeros_like(u)
-            v = u - 0.5
-            return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
-        if scale == 0.0:
-            return 0.0
+        v = _uniform_int(seed, index) - 0.5
+        return -scale * math.copysign(1.0, v) * float(_log1p(-2.0 * abs(v)))
+    u = vertex_uniform(seed, index)
+    if scale == 0.0:
+        return np.zeros_like(u)
     v = u - 0.5
-    return -scale * math.copysign(1.0, v) * math.log1p(-2.0 * abs(v))
-
-
-def derive_seed(*parts: int) -> int:
-    """Fold integer parts into one 64-bit seed (pure, order-sensitive)."""
-    with np.errstate(over="ignore"):
-        acc = _U64(0)
-        for p in parts:
-            acc = _mix64(acc ^ (np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF) * _C1))
-    return int(acc)
-
-
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One Laplace(0, scale) draw from a seeded generator (inverse CDF)."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    u = rng.random() - 0.5
-    return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
-
-
-def sample_gaussian(sigma: float, rng: np.random.Generator) -> float:
-    """One N(0, sigma^2) draw from a seeded generator."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return float(rng.normal(0.0, sigma))
+    return -scale * np.sign(v) * _log1p(-2.0 * np.abs(v))
 
 
 class NoiseRegime(Enum):
     PURE_LAPLACE = "pure-laplace"
     L2_LAPLACE = "l2-laplace"
     GAUSSIAN = "gaussian"
-
-
-@dataclass(frozen=True)
-class SensitivityPair:
-    """l1- and l2-sensitivity of the released vector."""
-
-    delta1: float
-    delta2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta1) and math.isfinite(self.delta2)):
-            raise ValueError("sensitivities must be finite")
-        if self.delta1 < 0 or self.delta2 < 0:
-            raise ValueError("sensitivities must be >= 0")
-        if self.delta2 > self.delta1:
-            raise ValueError(
-                f"l2-sensitivity {self.delta2} exceeds l1-sensitivity {self.delta1}"
-            )
 
 
 @dataclass(frozen=True)
@@ -241,13 +195,11 @@ def epsilon_of_laplace(
     delta2: float,
     lam: float,
     delta: float,
-    strict: bool = False,
 ) -> LaplaceEpsilonResult:
     """epsilon = min{ d1/lam, (d2/lam)(d2/(2 lam) + sqrt(2 ln(1/delta))) }.
 
-    The guarantee is derived for lam > delta1; with `strict` a violation
-    raises, otherwise the result only carries a flag so parameter sweeps can
-    still see the raw number.
+    The guarantee is derived for lam > delta1; a violation only sets
+    `scale_below_delta1`, so parameter sweeps can still see the raw number.
     """
     if delta1 <= 0 or delta2 < 0:
         raise ValueError("sensitivities must be positive (delta2 may be 0)")
@@ -258,8 +210,6 @@ def epsilon_of_laplace(
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     below = lam <= delta1
-    if below and strict:
-        raise ValueError(f"lambda={lam} must exceed delta1={delta1}")
     pure = delta1 / lam
     l2 = (delta2 / lam) * (delta2 / (2.0 * lam) + math.sqrt(2.0 * math.log(1.0 / delta)))
     eps = min(pure, l2)

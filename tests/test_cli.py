@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -398,3 +399,23 @@ def test_bench_k19_h4_memory(monkeypatch, capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith("offset-odd,19,4,65160,1,20,")
     assert peak <= 200 * 2**20
+
+
+def test_lowerbound_out_of_memory_is_usage_error():
+    # B = m = 100,000: the base strings alone are 10^10 bytes, past a 3 GB cap
+    src = Path(cli.__file__).resolve().parents[1]
+    cap = 3_000_000 * 1024
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "karycount.cli", "lowerbound",
+         "--T", "10000000000", "--k", "2", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_child,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage error:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

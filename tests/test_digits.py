@@ -13,13 +13,10 @@ from karycount.digits import (
     decode,
     digit_bounds,
     encode,
-    encode_offset_even,
-    encode_offset_odd,
-    encode_plain,
-    increment,
     max_value,
     weight,
 )
+from karycount.mechanisms import Mechanism, MechanismConfig, MechanismStateError
 
 SYSTEM_ARITIES = [
     (DigitSystem.PLAIN, 2),
@@ -83,11 +80,11 @@ def test_max_value():
 
 
 def test_known_encodings():
-    assert encode_plain(16, 3, 3).digits == (1, 2, 1)
-    assert encode_offset_odd(8, 3, 3).digits == (-1, 0, 1)
-    assert encode_offset_odd(2, 3, 2).digits == (-1, 1)
-    assert encode_offset_even(10, 4, 2).digits == (2, 2)
-    assert encode_offset_even(7, 4, 2).digits == (-1, 2)
+    assert encode(16, 3, 3, DigitSystem.PLAIN).digits == (1, 2, 1)
+    assert encode(8, 3, 3, DigitSystem.OFFSET_ODD).digits == (-1, 0, 1)
+    assert encode(2, 3, 2, DigitSystem.OFFSET_ODD).digits == (-1, 1)
+    assert encode(10, 4, 2, DigitSystem.OFFSET_EVEN).digits == (2, 2)
+    assert encode(7, 4, 2, DigitSystem.OFFSET_EVEN).digits == (-1, 2)
 
 
 def test_encode_rejects_out_of_range():
@@ -106,18 +103,21 @@ def test_digit_vector_validates():
 
 @pytest.mark.parametrize("system,k", SYSTEM_ARITIES)
 def test_increment_walks_all_values(system, k):
+    # the digit counter's one carry is `Mechanism.feed`'s; it steps through
+    # every value of the fixed width and stops at the largest
     w = 3
-    v = encode(0, k, w, system)
-    for t in range(1, max_value(system, k, w) + 1):
-        v = increment(v)
-        assert decode(v) == t
-    with pytest.raises(ValueError):
-        increment(v)
+    T = max_value(system, k, w)
+    mech = Mechanism(MechanismConfig(system, k, T, 1.0, zero_noise=True))
+    for t in range(1, T + 1):
+        mech.feed(0)
+        assert decode(DigitVector(tuple(mech._digits), k, system)) == t
+    with pytest.raises(MechanismStateError):
+        mech.feed(0)
 
 
 def test_weight():
     assert weight(DigitVector((1, -2, 0, 3), 7, DigitSystem.OFFSET_ODD)) == 6
-    assert weight(encode_plain(0, 3, 4)) == 0
+    assert weight(encode(0, 3, 4, DigitSystem.PLAIN)) == 0
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])

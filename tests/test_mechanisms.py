@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from karycount.analysis import natural_max_T
 from karycount.digits import DigitSystem, digit_bounds, encode, max_value, weight
+from karycount.lowerbound import LowerBoundConfig
 from karycount.mechanisms import (
     BatchRunner,
     Mechanism,
@@ -140,15 +142,24 @@ def test_streaming_equals_oracle_all_variants(variant, k):
     assert streamed == run_oracle(bits, cfg)
 
 
-def test_batch_runner_matches_streaming_distributionally():
-    T = 100
-    cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, T, 1.0, seed=3)
-    bits = _random_bits(T, 2)
-    mech = Mechanism(cfg)
-    streamed = np.array([mech.feed(b) for b in bits])
-    batched = BatchRunner(cfg).run(bits, seed=3)
-    # same noise terms, possibly different summation order
-    np.testing.assert_allclose(batched, streamed, rtol=0, atol=1e-9)
+# every pair of VARIANT_ARITIES, and the paper's arities 19 and 20
+BATCH_CASES = VARIANT_ARITIES + [(DigitSystem.OFFSET_ODD, 19), (DigitSystem.OFFSET_EVEN, 20)]
+
+
+@pytest.mark.parametrize("variant,k", BATCH_CASES)
+def test_batch_runner_equals_feed(variant, k):
+    # one Laplace transform on both noise paths: the runner's rows are the
+    # streamed floats, bit for bit, at all and at chosen times
+    T = 3000
+    bits = _random_bits(T, k)
+    for seed in (0, 7, 2**64 - 1):
+        cfg = MechanismConfig(variant, k, T, 1.0, seed=seed)
+        mech = Mechanism(cfg)
+        streamed = [mech.feed(b) for b in bits]
+        assert BatchRunner(cfg).run(bits, seed).tolist() == streamed
+        times = [2999, 1, 1500, 1, 3000, 17]
+        got = BatchRunner(cfg, times=times).run(bits, seed).tolist()
+        assert got == [streamed[t - 1] for t in times]
 
 
 def test_batch_runner_selected_times():
@@ -157,27 +168,22 @@ def test_batch_runner_selected_times():
     times = [8, 16, 64]
     full = BatchRunner(cfg).run([1] * T, seed=9)
     partial = BatchRunner(cfg, times=times).run([1] * T, seed=9)
-    np.testing.assert_allclose(partial, full[np.array(times) - 1], atol=1e-12)
+    assert np.array_equal(partial, full[np.array(times) - 1])
 
 
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
 def test_batch_runner_is_true_plus_canonical_vector_draws(variant, k):
     # exact: each output is its prefix sum plus the canonical-order sum of
-    # the array-path draws over its walk
+    # the draws over its walk
     for h in (1, 2, 3):
         T = max_value(variant, k, h)
-        cfg = MechanismConfig(variant, k, T, 1.0)
+        cfg = MechanismConfig(variant, k, T, 1.0, seed=40 + h)
         bits = _random_bits(T, h)
-        seed = 40 + h
-        runner = BatchRunner(cfg)
-        draws = dict(zip(runner.keys.tolist(),
-                         vertex_laplace(cfg.scale, seed, runner.keys).tolist()))
-        got = runner.run(bits, seed=seed)
+        got = BatchRunner(cfg).run(bits, seed=cfg.seed)
         true_sum = 0
         for t, b in enumerate(bits, start=1):
             true_sum += b
-            noise = canonical_noise(cfg, t, output_keys_at(cfg, t), draws.__getitem__)
-            assert got[t - 1] == true_sum + noise
+            assert got[t - 1] == true_sum + canonical_noise(cfg, t, output_keys_at(cfg, t))
 
 
 def test_batch_runner_unsorted_duplicate_times():
@@ -299,19 +305,16 @@ def test_ledger_tracks_current_keys(variant, k):
         assert mech.ledger_size == len(keysets[t - 1])
 
 
-def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int], draw=None) -> float:
+def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int]) -> float:
     """0.0 plus the level sums from level h-1 down to 0; each level sum is
-    0.0 plus that level's draws in walk order (the mechanisms docstring).
-    `draw(p)` gives vertex p's noise; by default the scalar `vertex_laplace`."""
-    if draw is None:
-        draw = lambda p: vertex_laplace(cfg.scale, cfg.seed, p)
+    0.0 plus that level's draws in walk order (the mechanisms docstring)."""
     digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
     walk = iter(keys)
     noise = 0.0
     for lvl in range(cfg.height - 1, -1, -1):
         level_sum = 0.0
         for _ in range(abs(digits[lvl])):
-            level_sum += draw(next(walk))
+            level_sum += vertex_laplace(cfg.scale, cfg.seed, next(walk))
         noise += level_sum
     assert next(walk, None) is None
     return noise
@@ -414,11 +417,43 @@ def test_noise_is_unbiased_with_correct_variance():
 
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
 def test_sensitivity_audit_exactly_height(variant, k):
-    for T in (17, 100):
+    # and at the natural maximum T of heights 1..4, the full tree of each
+    for T in (17, 100, *(natural_max_T(variant, k, h) for h in (1, 2, 3, 4))):
         cfg = MechanismConfig(variant, k, T, 1.0)
         audit = sensitivity_audit(cfg)
         assert audit.max_count == cfg.height
         assert (audit.counts == cfg.height).all()
+
+
+# seeds a caller might pass: ints around both ends of [0, 2^64), numpy ints,
+# floats and bools
+SEEDS = st.one_of(
+    st.integers(-2**10, 2**10),
+    st.integers(2**64 - 2**10, 2**64 + 2**10),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), SEEDS)
+def test_configs_accept_exactly_finite_epsilon_and_seeds_in_range(epsilon, seed):
+    eps_ok = math.isfinite(epsilon) and epsilon > 0
+    integer = type(seed) in (int, np.uint64, np.int64)
+    # a lowerbound trial uses seeds seed .. seed + 3
+    makers = [
+        (lambda: MechanismConfig(DigitSystem.PLAIN, 3, 10, epsilon, seed=seed), 2**64 - 1),
+        (lambda: LowerBoundConfig(T=256, k=4, epsilon=epsilon, trials=1, seed=seed), 2**64 - 4),
+    ]
+    for make, top in makers:
+        if eps_ok and integer and 0 <= int(seed) <= top:
+            cfg = make()
+            assert type(cfg.seed) is int and cfg.seed == int(seed)
+        else:
+            with pytest.raises(ValueError):
+                make()
 
 
 @settings(max_examples=30, deadline=None)

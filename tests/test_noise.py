@@ -11,15 +11,11 @@ from karycount.noise import (
     _mix64_int,
     CalibrationResult,
     NoiseRegime,
-    SensitivityPair,
     calibrate_gaussian,
     calibrate_l2_laplace,
     calibrate_pure_laplace,
-    derive_seed,
     epsilon_of_laplace,
     l2_laplace_a,
-    sample_gaussian,
-    sample_laplace,
     variance_ratio_bound,
     vertex_laplace,
     vertex_uniform,
@@ -49,10 +45,11 @@ def test_vertex_uniform_moments():
 
 
 def test_vertex_laplace_scalar_matches_array():
-    idx = np.arange(64, dtype=np.int64)
-    z = vertex_laplace(2.5, 9, idx)
-    for i in (0, 17, 63):
-        assert vertex_laplace(2.5, 9, int(i)) == z[i]
+    # one transform on both paths: with math.log1p on the scalar path,
+    # about 6 % of these draws differed in the last bit
+    n = 100_000
+    z = vertex_laplace(2.5, 1234567, np.arange(n, dtype=np.int64))
+    assert [vertex_laplace(2.5, 1234567, i) for i in range(n)] == z.tolist()
 
 
 def test_vertex_laplace_moments():
@@ -72,37 +69,6 @@ def test_vertex_laplace_zero_scale():
     assert (z == 0.0).all()
     with pytest.raises(ValueError):
         vertex_laplace(-1.0, 3, 11)
-
-
-def test_derive_seed_is_stable_and_order_sensitive():
-    assert derive_seed(1, 2) == derive_seed(1, 2)
-    assert derive_seed(1, 2) != derive_seed(2, 1)
-    assert 0 <= derive_seed(10**18, 5) < 2**64
-
-
-def test_sample_laplace_moments():
-    rng = np.random.default_rng(0)
-    n = 400_000
-    xs = np.array([sample_laplace(1.0, rng) for _ in range(n)])
-    assert abs(xs.mean()) < 3.0 * math.sqrt(2.0 / n)
-    assert abs(xs.var() - 2.0) < 0.05
-    with pytest.raises(ValueError):
-        sample_laplace(0.0, rng)
-
-
-def test_sample_gaussian_moments():
-    rng = np.random.default_rng(1)
-    xs = np.array([sample_gaussian(2.0, rng) for _ in range(200_000)])
-    assert abs(xs.mean()) < 3.0 * 2.0 / math.sqrt(len(xs))
-    assert abs(xs.var() - 4.0) < 0.1
-
-
-def test_sensitivity_pair_validation():
-    SensitivityPair(2.0, 1.5)
-    with pytest.raises(ValueError):
-        SensitivityPair(1.0, 2.0)
-    with pytest.raises(ValueError):
-        SensitivityPair(-1.0, 0.0)
 
 
 def test_calibrate_pure_laplace():
@@ -169,11 +135,9 @@ def test_epsilon_of_laplace_known_value():
     assert res.out_of_regime  # epsilon >= 1
 
 
-def test_epsilon_of_laplace_flags_and_strict():
+def test_epsilon_of_laplace_flags():
     res = epsilon_of_laplace(2.0, 1.0, 1.5, 1e-6)
     assert res.scale_below_delta1
-    with pytest.raises(ValueError):
-        epsilon_of_laplace(2.0, 1.0, 1.5, 1e-6, strict=True)
     with pytest.raises(ValueError):
         epsilon_of_laplace(1.0, 2.0, 4.0, 1e-6)
 
