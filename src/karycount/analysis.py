@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +30,17 @@ B_EPS_DELTA = 4.0 / (math.pi**2 * LOG2E**3)
 TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 
+def _epsilon_squared(epsilon: float) -> float:
+    """epsilon^2, which the closed forms divide by; `ValueError` unless it is > 0.
+
+    A subnormal epsilon is > 0, but its square underflows to 0.
+    """
+    eps2 = epsilon**2
+    if not eps2 > 0:
+        raise ValueError(f"epsilon^2 must be > 0, got {epsilon!r}^2 = {eps2!r}")
+    return eps2
+
+
 def natural_max_T(variant: DigitSystem, k: int, h: int) -> int:
     """Largest stream length a height-h tree supports in this variant."""
     return max_value(variant, k, h)
@@ -40,7 +50,7 @@ def mse_plain(k: int, h: int, epsilon: float) -> float:
     """(k-1) h^3 / (eps^2 (1 - k^-h)) over T = k^h - 1 outputs."""
     if k < 2 or h < 1 or epsilon <= 0:
         raise ValueError(f"need k >= 2, h >= 1, epsilon > 0; got {(k, h, epsilon)}")
-    return (k - 1) * h**3 / (epsilon**2 * (1.0 - k ** (-h)))
+    return (k - 1) * h**3 / (_epsilon_squared(epsilon) * (1.0 - k ** (-h)))
 
 
 def mse_offset_odd(k: int, h: int, epsilon: float) -> float:
@@ -48,14 +58,18 @@ def mse_offset_odd(k: int, h: int, epsilon: float) -> float:
     digit_bounds(DigitSystem.OFFSET_ODD, k)
     if h < 1 or epsilon <= 0:
         raise ValueError(f"need h >= 1 and epsilon > 0; got {(h, epsilon)}")
-    return k * (1.0 - 1.0 / k**2) * h**3 / (2.0 * epsilon**2 * (1.0 - k ** (-h)))
+    eps2 = _epsilon_squared(epsilon)
+    return k * (1.0 - 1.0 / k**2) * h**3 / (2.0 * eps2 * (1.0 - k ** (-h)))
 
 
-def even_vertex_count(k: int, h: int) -> Fraction:
+def even_vertex_count(k: int, h: int) -> "Fraction":
     """Total vertices combined over all prefixes a height-h even-k tree supports.
 
     c_h = ((k+2)/4 + k(h-1)/4) * (k/2) * k^(h-1) + c_(h-1), c_0 = 0.
     """
+    # imported here: `fractions` loads `decimal`, which `run` never needs
+    from fractions import Fraction
+
     digit_bounds(DigitSystem.OFFSET_EVEN, k)
     c = Fraction(0)
     for height in range(1, h + 1):
@@ -73,7 +87,7 @@ def mse_offset_even(k: int, h: int, epsilon: float) -> float:
         raise ValueError(f"need h >= 1 and epsilon > 0; got {(h, epsilon)}")
     c = even_vertex_count(k, h)
     T = natural_max_T(DigitSystem.OFFSET_EVEN, k, h)
-    return float(c / T) * 2.0 * h**2 / epsilon**2
+    return float(c / T) * 2.0 * h**2 / _epsilon_squared(epsilon)
 
 
 def closed_form_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> float:
@@ -151,12 +165,13 @@ def crossover(variant: DigitSystem, k: int) -> CrossoverReport:
 
 def pure_leading_term(variant: DigitSystem, k: int, T: int, epsilon: float) -> float:
     """B_eps * log2(T)^3 / eps^2."""
-    return leading_constant(variant, k) * math.log2(T) ** 3 / epsilon**2
+    return leading_constant(variant, k) * math.log2(T) ** 3 / _epsilon_squared(epsilon)
 
 
 def approx_leading_term(T: int, epsilon: float, delta: float) -> float:
     """B_eps_delta * log2(T)^2 * log2(1/delta) / eps^2."""
-    return B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / delta) / epsilon**2
+    eps2 = _epsilon_squared(epsilon)
+    return B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / delta) / eps2
 
 
 @dataclass
@@ -181,7 +196,7 @@ def exhaustive_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> floa
     T = natural_max_T(variant, k, h)
     cfg = MechanismConfig(variant=variant, k=k, T=T, epsilon=epsilon)
     total = sum(len(keys) for keys in output_keys(cfg))
-    return (total / T) * 2.0 * h**2 / epsilon**2
+    return (total / T) * 2.0 * h**2 / _epsilon_squared(epsilon)
 
 
 def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None) -> ErrorReport:
@@ -200,6 +215,8 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
     if not 0 <= base_seed <= 2**64 - trials:
         raise ValueError(f"trial seeds {base_seed} + [0, {trials}) must lie in [0, 2^64)")
     h = config.height
+    # before any trial: it rejects an epsilon whose square underflows
+    closed = closed_form_mse(config.variant, config.k, h, config.epsilon)
     runner = BatchRunner(config)
     n_keys = len(runner.keys)
     block = max(1, TRIAL_BLOCK_ELEMENTS // max(config.T, n_keys + 1))
@@ -221,7 +238,7 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
         h=h,
         T=config.T,
         epsilon=config.epsilon,
-        closed_form_mse=closed_form_mse(config.variant, config.k, h, config.epsilon),
+        closed_form_mse=closed,
         trials=trials,
         empirical_mse=est,
         standard_error=se,

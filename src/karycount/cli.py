@@ -2,8 +2,10 @@
 
 Output is CSV with `#`-prefixed comment lines; every numeric field is
 printed with round-trip precision so downstream comparisons are exact.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 bench acceptance
-failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a named output that
+cannot be written is one), 3 bench acceptance failure, 141 the reader of
+stdout went away (128 + SIGPIPE, as a shell reports a process killed by
+that signal).
 """
 
 from __future__ import annotations
@@ -12,14 +14,22 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, lowerbound, noise
 from .digits import DigitSystem
-from .mechanisms import Mechanism, MechanismConfig
+from .mechanisms import Mechanism, MechanismConfig, block_noise, check_int64
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ACCEPT = 3
+EXIT_PIPE = 141
+
+#: Bytes asked of the input per read; a read returns what is there, up to this.
+READ_BYTES = 1 << 13
+#: Rows of one block of the file release; bounds the memory a block holds.
+BLOCK_ROWS = 1024
 
 _VARIANTS = {
     "plain": DigitSystem.PLAIN,
@@ -62,31 +72,80 @@ def _resolve_seed(value) -> int:
     return 0
 
 
-def _iter_bits(path: str):
-    """Yield input bits one at a time; never holds the whole stream."""
-    if path == "-":
-        fh, close = sys.stdin, False
-    else:
+def _open_input(path: str):
+    """(read, close) of the input: read(n) returns up to n bytes, b"" at its end."""
+    if path != "-":
         try:
-            fh, close = open(path), True
+            fh = open(path, "rb")
         except OSError as exc:
             raise DataError(f"cannot read input {path}: {exc}")
+        return fh.read1, fh.close
+    stdin = sys.stdin
+    if hasattr(stdin, "buffer"):
+        return stdin.buffer.read1, None
+    return (lambda n: stdin.read(n).encode()), None  # a text stream standing in for stdin
+
+
+def _read_bits(path: str, before_read=None):
+    """Yield the input's bits in chunks, each a bytes of b"0" and b"1".
+
+    A chunk holds the tokens of one read of the input, up to `READ_BYTES`,
+    up to its last separator; a token cut off at its end waits for the next
+    read.  `before_read()` is called before every read, which may block.
+    Tokens are separated by commas and line breaks and stripped of
+    whitespace.  A bad token raises `DataError` naming its line, once the
+    bits before it are yielded.
+    """
+    read, close = _open_input(path)
+    lineno = 1
+    pending = []  # the reads since the last separator, none of which holds one
+    cr = False  # the last read ended with a "\r" cut, which a "\n" may complete
     try:
-        for lineno, line in enumerate(fh, start=1):
-            for token in line.split(","):
-                token = token.strip()
-                if not token:
-                    continue
-                if token not in ("0", "1"):
-                    raise DataError(f"line {lineno}: expected '0' or '1', got {token!r}")
-                yield int(token)
+        while True:
+            if before_read is not None:
+                before_read()
+            data = read(READ_BYTES)
+            eof = not data
+            if cr and data[:1] == b"\n":  # the rest of a "\r\n" cut at its "\r"
+                data = data[1:]
+            cr = False
+            cut = len(data) if eof else max(map(data.rfind, (b"\n", b"\r", b","))) + 1
+            if not cut and not eof:  # no separator yet: the token goes on
+                pending.append(data)
+                continue
+            pending.append(data[:cut])
+            text = b"".join(pending)
+            pending = [data[cut:]]
+            cr = cut == len(data) and text.endswith(b"\r")
+            bits, lineno, error = _parse_lines(text, lineno)
+            if bits:
+                yield bits
+            if error is not None:
+                raise DataError(error)
+            if eof:
+                return
     finally:
-        if close:
-            fh.close()
+        if close is not None:
+            close()
 
 
-def _read_bits(path: str) -> list[int]:
-    return list(_iter_bits(path))
+def _parse_lines(text: bytes, lineno: int):
+    """(bits, next line number, error or None) of UTF-8 input cut at a separator.
+
+    The rule of a line-by-line text reader: "\r\n", "\r" and "\n" end a
+    line, and the first bad token stops the parse.
+    """
+    lines = text.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+    bits = []
+    for lineno, line in enumerate(lines.split("\n"), start=lineno):
+        for token in line.split(","):
+            token = token.strip()
+            if token in ("0", "1"):
+                bits.append(token)
+            elif token:
+                error = f"line {lineno}: expected '0' or '1', got {token!r}"
+                return "".join(bits).encode(), lineno, error
+    return "".join(bits).encode(), lineno, None
 
 
 def _open_output(path):
@@ -156,21 +215,26 @@ def build_parser() -> _Parser:
 def cmd_run(args, out) -> int:
     variant = _VARIANTS[args.variant]
     seed = _resolve_seed(args.seed)
+    # stdout is an online release: every row is flushed before a read that
+    # may wait for more input.  A named file is released in blocks of rows.
+    online = args.output in (None, "-")
     if args.T is not None:
-        # known horizon: stream the input, holding only the current bit
+        # known horizon: stream the input, holding one chunk of it
         T = args.T
-        bits = _iter_bits(args.input)
+        chunks = _read_bits(args.input, out.flush if online else None)
     else:
-        bits = _read_bits(args.input)
-        if not bits:
+        data = b"".join(_read_bits(args.input))
+        if not data:
             raise DataError("empty input stream")
-        T = len(bits)
+        T = len(data)
+        chunks = [data]
     try:
         cfg = MechanismConfig(
             variant=variant, k=args.k, T=T, epsilon=args.epsilon,
             seed=seed, zero_noise=args.zero_noise,
         )
-    except ValueError as exc:
+        check_int64(cfg)
+    except (ValueError, OverflowError) as exc:
         raise UsageError(str(exc))
     out.write(f"# seed={seed}\n")
     if args.zero_noise:
@@ -179,28 +243,59 @@ def cmd_run(args, out) -> int:
         out.write("# with-true: true prefix sums included, NOT private\n")
     header = "t,estimate,true" if args.with_true else "t,estimate"
     out.write(header + "\n")
+    release = _release_online if online else _release_blocks
+    if release(cfg, chunks, out, args.with_true) == 0:
+        raise DataError("empty input stream")
     out.flush()
-    # stdout is an online release, flushed row by row; a named file is
-    # written buffered and closed by `main`
-    online = args.output in (None, "-")
+    return EXIT_OK
+
+
+def _release_online(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
+    """Write one row per input bit through `Mechanism.feed`; return the rows."""
     mech = Mechanism(cfg)
     true_sum = 0
     t = 0
-    for bit in bits:
-        t += 1
-        if t > T:
-            raise DataError(f"input longer than --T {T}")
-        est = mech.feed(bit)
-        true_sum += bit
-        row = f"{t},{fmt(est)}"
-        if args.with_true:
-            row += f",{true_sum}"
-        out.write(row + "\n")
-        if online:
-            out.flush()
-    if t == 0:
-        raise DataError("empty input stream")
-    return EXIT_OK
+    for chunk in chunks:
+        for byte in chunk:
+            t += 1
+            if t > cfg.T:
+                raise DataError(f"input longer than --T {cfg.T}")
+            bit = byte - 48  # b"0" and b"1"
+            est = mech.feed(bit)
+            true_sum += bit
+            row = f"{t},{fmt(est)}"
+            if with_true:
+                row += f",{true_sum}"
+            out.write(row + "\n")
+    return t
+
+
+def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
+    """Write the rows of `BLOCK_ROWS` bits at a time through `block_noise`.
+
+    The bytes equal the online release: the estimate is the true count plus
+    the same canonical-order noise, and both are formatted by `fmt`'s rule.
+    """
+    row = "{},{:.17g},{}\n" if with_true else "{},{:.17g}\n"
+    t = true_sum = 0
+    for chunk in chunks:
+        bits = np.frombuffer(chunk, dtype=np.uint8)
+        for start in range(0, len(bits), BLOCK_ROWS):
+            block = bits[start : start + BLOCK_ROWS]
+            n = min(len(block), cfg.T - t)
+            if n:
+                times = np.arange(t + 1, t + n + 1, dtype=np.int64)
+                counts = np.cumsum(block[:n] - 48, dtype=np.int64)
+                counts += true_sum
+                est = counts + block_noise(cfg, times)
+                cols = [range(t + 1, t + n + 1), est.tolist()]
+                if with_true:
+                    cols.append(counts.tolist())
+                out.write("".join(map(row.format, *cols)))
+                t, true_sum = t + n, int(counts[-1])
+            if n < len(block):
+                raise DataError(f"input longer than --T {cfg.T}")
+    return t
 
 
 def cmd_bench(args, out) -> int:
@@ -290,6 +385,8 @@ def cmd_analyze(args, out) -> int:
             )
     except ValueError as exc:
         raise UsageError(str(exc))
+    except OverflowError as exc:  # a square or power past the float range
+        raise UsageError(f"a closed form overflows: {exc}")
     out.flush()
     return EXIT_OK
 
@@ -335,12 +432,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        out, close = _open_output(getattr(args, "output", "-"))
+        path = getattr(args, "output", "-")
+        out, close = _open_output(path)
         try:
-            return _COMMANDS[args.command](args, out)
-        finally:
-            if close:
-                out.close()
+            try:
+                return _COMMANDS[args.command](args, out)
+            finally:
+                if close:
+                    out.close()
+        except BrokenPipeError as exc:
+            if close:  # the reader of a named output, a FIFO, went away
+                raise DataError(f"cannot write output {path}: {exc}")
+            # the rows still buffered would fail again when Python flushes stdout
+            # at exit, so stdout goes to /dev/null (the recipe of the `signal` docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -50,6 +50,7 @@ class LowerBoundConfig:
             raise ValueError(f"need k <= B/4 = {B // 4}, got k={self.k}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        self.tree_config()  # its per-vertex scale must be finite too
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3
@@ -59,6 +60,16 @@ class LowerBoundConfig:
                 f"seed must be an integer in [0, 2^64 - 4*trials], got {self.seed!r}"
             )
         object.__setattr__(self, "seed", int(self.seed))
+
+    def tree_config(self) -> MechanismConfig:
+        """The mechanism under test: an offset-odd k=3 tree at this epsilon."""
+        return MechanismConfig(
+            variant=DigitSystem.OFFSET_ODD,
+            k=3,
+            T=self.T,
+            epsilon=self.epsilon,
+            zero_noise=self.zero_noise,
+        )
 
     @property
     def B(self) -> int:
@@ -176,14 +187,8 @@ def run_distinguisher(mechanism, y, y_prime, config: LowerBoundConfig, seeds) ->
 
 
 def tree_mechanism_factory(config: LowerBoundConfig):
-    """The mechanism under test: an offset-odd k=3 tree at config.epsilon."""
-    mech_cfg = MechanismConfig(
-        variant=DigitSystem.OFFSET_ODD,
-        k=3,
-        T=config.T,
-        epsilon=config.epsilon,
-        zero_noise=config.zero_noise,
-    )
+    """The mechanism under test, `config.tree_config()`, at the block ends."""
+    mech_cfg = config.tree_config()
     # the distinguisher only looks at block ends, so only those rows are built
     ends = range(config.B, config.T + 1, config.B)
     runner = BatchRunner(mech_cfg, times=ends)

@@ -5,7 +5,8 @@ current time step and a lazy ledger of Laplace noise terms keyed by tree
 vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the batch `TreeOracle`, which
 walks an explicit tree of subtree sums, and the vectorized `BatchRunner`
-produce bit-identical outputs under the same seed.  That pointwise
+produce bit-identical outputs under the same seed, as does `block_noise`, the
+per-level engine behind the file release of `karycount run`.  That pointwise
 equality is deliberately stronger than the distributional equivalence it
 mirrors and is what the equivalence tests pin down.
 
@@ -14,11 +15,12 @@ children are added, right children subtracted), and since Laplace noise is
 symmetric the ledger stores one draw per vertex which is always *added* to
 the output, for both added and subtracted vertices.
 
-Canonical summation order, used by `Mechanism.feed`, `TreeOracle.run` and
-`BatchRunner` alike: the noise of an output is 0.0 plus each level's sum,
-from level h-1 down to level 0, and each level's sum is 0.0 plus that
-level's draws in digit-walk order.  The true prefix sum is added last.  Any other order
-gives the same distribution but may differ in the last bits.
+Canonical summation order, used by `Mechanism.feed`, `TreeOracle.run`,
+`BatchRunner` and `block_noise` alike: the noise of an output is 0.0 plus
+each level's sum, from level h-1 down to level 0, and each level's sum is
+0.0 plus that level's draws in digit-walk order.  The true prefix sum is
+added last.  Any other order gives the same distribution but may differ in
+the last bits.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitSystem, digit_bounds, encode, max_value
-from .noise import vertex_laplace
+from .noise import check_scale, vertex_laplace
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,7 @@ class MechanismConfig:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        check_scale("per-vertex scale h/epsilon", self.height / self.epsilon)
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
                 and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
@@ -196,12 +199,12 @@ class Mechanism:
 
 
 def _all_times(config: MechanismConfig) -> np.ndarray:
-    """The times 1..T as an int64 array, after `_check_int64`."""
-    _check_int64(config)
+    """The times 1..T as an int64 array, after `check_int64`."""
+    check_int64(config)
     return np.arange(1, config.T + 1, dtype=np.int64)
 
 
-def _check_int64(config: MechanismConfig) -> None:
+def check_int64(config: MechanismConfig) -> None:
     """Raise `OverflowError` unless every time and key of the tree fits in int64."""
     # every key and every time is at most max_value(h) < k^h
     if config.k**config.height > np.iinfo(np.int64).max:
@@ -209,6 +212,30 @@ def _check_int64(config: MechanismConfig) -> None:
             f"k={config.k}, h={config.height} (T={config.T}): "
             "times and vertex keys do not fit in int64"
         )
+
+
+def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
+    """(times, digits): `times` as int64, and their (h, len(times)) digits.
+
+    Digits are least-significant first, encoded by `%` and `//` per level as
+    `digits.encode` does.
+    """
+    check_int64(config)
+    t = np.asarray(times, dtype=np.int64)
+    if t.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
+    if len(t) and (t.min() < 1 or t.max() > config.T):
+        raise ValueError(f"times must lie in [1, T={config.T}]")
+    k = config.k
+    hi = digit_bounds(config.variant, k)[1]
+    digits = np.empty((config.height, len(t)), dtype=np.int64)
+    rem = t
+    for lvl in range(config.height):
+        d = rem % k
+        d[d > hi] -= k
+        rem = (rem - d) // k
+        digits[lvl] = d
+    return t, digits
 
 
 def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
@@ -219,25 +246,12 @@ def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
     level from h-1 down to 0 (walk order); slot j of a block holds the
     (j+1)-th vertex walked at that level, and `mask` marks the slots in use.
     Unused slots hold 0.  A row's keys in use are `Mechanism.ledger_keys()`
-    after that step.  Only the given times are encoded, by `%` and `//` per
-    level as `digits.encode` does.
+    after that step.  Only the given times are encoded.
     """
-    _check_int64(config)
-    t = np.asarray(times, dtype=np.int64)
-    if t.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
-    if len(t) and (t.min() < 1 or t.max() > config.T):
-        raise ValueError(f"times must lie in [1, T={config.T}]")
+    t, digits = _encode_times(config, times)
     h, k = config.height, config.k
     lo, hi = digit_bounds(config.variant, k)
     m = max(hi, -lo)
-    digits = np.empty((h, len(t)), dtype=np.int64)  # least-significant first
-    rem = t
-    for lvl in range(h):
-        d = rem % k
-        d[d > hi] -= k
-        rem = (rem - d) // k
-        digits[lvl] = d
     keys = np.zeros((len(t), h * m), dtype=np.int64)
     mask = np.zeros((len(t), h * m), dtype=bool)
     slot = np.arange(1, m + 1, dtype=np.int64)
@@ -250,6 +264,44 @@ def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
         mask[:, cols] = used
         base += digits[lvl] * k**lvl
     return keys, mask
+
+
+def block_noise(config: MechanismConfig, times) -> np.ndarray:
+    """Noise of the outputs at sorted `times`, equal to `feed`'s bit for bit.
+
+    At level l an output walks the vertices base + j*k^l (digit d > 0) or
+    base - j*k^l (d < 0), j = 1..|d|, where base, the value of the digits
+    above level l, is a multiple of k^(l+1) that never decreases over sorted
+    times.  So per level and sign one grid of draws, a row per distinct base
+    and a column per j, holds every vertex the outputs walk there, and an
+    output's level sum is one entry of the grid's running sums along j.  The
+    level sums are added onto 0.0 from level h-1 down to 0, the canonical
+    order.  No key is sorted or searched: a base's row is the count of base
+    changes before it.
+    """
+    t, digits = _encode_times(config, times)
+    if np.any(t[1:] < t[:-1]):
+        raise ValueError("times must be sorted")
+    k, scale, seed = config.k, config.scale, config.seed
+    noise = np.zeros(len(t))
+    base = np.zeros(len(t), dtype=np.int64)  # value of the digits above the level
+    starts = np.ones(len(t), dtype=bool)  # first output of each distinct base
+    for lvl in range(config.height - 1, -1, -1):
+        d = digits[lvl]
+        np.not_equal(base[1:], base[:-1], out=starts[1:])
+        up, down = int(d.max(initial=0)), -int(d.min(initial=0))
+        if up or down:
+            # columns: j = 1..up on the + side, then j = 1..down on the - side;
+            # keys of slots no output walks may wrap, and their draws go unread
+            j = np.concatenate((np.arange(1, up + 1), -np.arange(1, down + 1)))
+            z = vertex_laplace(scale, seed, base[starts][:, None] + j * k**lvl)
+            np.cumsum(z[:, :up], axis=1, out=z[:, :up])
+            np.cumsum(z[:, up:], axis=1, out=z[:, up:])
+            col = np.where(d > 0, d - 1, up - 1 - d)
+            # an output whose digit is 0 adds 0.0
+            noise += np.where(d != 0, z[np.cumsum(starts) - 1, col], 0.0)
+        base += d * k**lvl
+    return noise
 
 
 def output_keys(config: MechanismConfig) -> list[list[int]]:

@@ -134,13 +134,26 @@ class CalibrationResult:
         return 2.0 * self.scale_or_sigma**2
 
 
+def check_scale(name: str, value: float) -> float:
+    """`value`, a noise scale; `ValueError` naming it unless finite and > 0.
+
+    A subnormal epsilon or delta passes a check on its own range, but the
+    scale it gives overflows to inf or comes out nan: noise that no longer
+    calibrates anything.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} = {value!r} must be finite and > 0")
+    return value
+
+
 def calibrate_pure_laplace(delta1: float, epsilon: float) -> CalibrationResult:
     """Laplace scale delta1/epsilon for pure epsilon-DP."""
     if not (math.isfinite(delta1) and delta1 > 0):
         raise ValueError(f"delta1 must be finite and > 0, got {delta1}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    return CalibrationResult(delta1 / epsilon, epsilon, 0.0, NoiseRegime.PURE_LAPLACE)
+    scale = check_scale("Laplace scale delta1/epsilon", delta1 / epsilon)
+    return CalibrationResult(scale, epsilon, 0.0, NoiseRegime.PURE_LAPLACE)
 
 
 def calibrate_gaussian(delta2: float, epsilon: float, delta: float) -> CalibrationResult:
@@ -152,6 +165,7 @@ def calibrate_gaussian(delta2: float, epsilon: float, delta: float) -> Calibrati
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    check_scale("Gaussian sigma", sigma)
     return CalibrationResult(sigma, epsilon, delta, NoiseRegime.GAUSSIAN)
 
 
@@ -175,7 +189,8 @@ def calibrate_l2_laplace(delta2: float, epsilon: float, delta: float) -> Calibra
     if not (math.isfinite(delta2) and delta2 > 0):
         raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
     a = l2_laplace_a(epsilon, delta)
-    return CalibrationResult(delta2 / a, epsilon, delta, NoiseRegime.L2_LAPLACE, a_param=a)
+    scale = check_scale("l2-Laplace scale delta2/a", delta2 / a)
+    return CalibrationResult(scale, epsilon, delta, NoiseRegime.L2_LAPLACE, a_param=a)
 
 
 @dataclass(frozen=True)

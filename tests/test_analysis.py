@@ -175,3 +175,20 @@ def test_invalid_parameters():
         henzinger_bound(1, 0.5, 1e-6)
     with pytest.raises(ValueError):
         henzinger_bound(100, 1.5, 1e-6)
+
+
+def test_closed_forms_reject_epsilon_whose_square_underflows():
+    # epsilon = 1e-200 is finite and > 0, but epsilon^2 is 0.0: each closed
+    # form that divides by it raised ZeroDivisionError
+    calls = [
+        lambda eps: mse_plain(3, 2, eps),
+        lambda eps: mse_offset_odd(3, 2, eps),
+        lambda eps: mse_offset_even(4, 2, eps),
+        lambda eps: exhaustive_mse(DigitSystem.OFFSET_ODD, 3, 2, eps),
+        lambda eps: pure_leading_term(DigitSystem.OFFSET_ODD, 19, 1024, eps),
+        lambda eps: approx_leading_term(1024, eps, 1e-6),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="epsilon\\^2"):
+            call(1e-200)
+        assert math.isfinite(call(1e-150))

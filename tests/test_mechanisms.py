@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from karycount.analysis import natural_max_T
 from karycount.digits import DigitSystem, digit_bounds, encode, max_value, weight
@@ -14,6 +14,7 @@ from karycount.mechanisms import (
     Mechanism,
     MechanismConfig,
     MechanismStateError,
+    block_noise,
     output_keys,
     run_oracle,
     sensitivity_audit,
@@ -160,6 +161,37 @@ def test_batch_runner_equals_feed(variant, k):
         times = [2999, 1, 1500, 1, 3000, 17]
         got = BatchRunner(cfg, times=times).run(bits, seed).tolist()
         assert got == [streamed[t - 1] for t in times]
+
+
+@pytest.mark.parametrize("variant,k", BATCH_CASES)
+def test_block_noise_equals_feed(variant, k):
+    # per-level grids in the canonical order: the streamed noise, bit for
+    # bit, over all times at once, in blocks whose edges cut carries, and at
+    # sparse sorted times with repeats
+    T = 3000
+    for seed in (0, 7, 2**64 - 1):
+        cfg = MechanismConfig(variant, k, T, 1.0, seed=seed)
+        mech = Mechanism(cfg)
+        noise = [mech.feed(0) for _ in range(T)]
+        assert block_noise(cfg, np.arange(1, T + 1)).tolist() == noise
+        blocks = [block_noise(cfg, range(s, min(s + 97, T + 1))) for s in range(1, T + 1, 97)]
+        assert np.concatenate(blocks).tolist() == noise
+        times = [1, 1, 17, 1500, 2999, 3000]
+        assert block_noise(cfg, times).tolist() == [noise[t - 1] for t in times]
+
+
+def test_block_noise_bounds():
+    cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 40, 1.0)
+    assert block_noise(cfg, []).shape == (0,)
+    with pytest.raises(ValueError, match="sorted"):
+        block_noise(cfg, [3, 2])
+    for times in ([0], [41]):
+        with pytest.raises(ValueError, match="lie in"):
+            block_noise(cfg, times)
+    with pytest.raises(OverflowError, match="int64"):
+        block_noise(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), [1])
+    zero = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 40, 1.0, zero_noise=True)
+    assert block_noise(zero, np.arange(1, 41)).tolist() == [0.0] * 40
 
 
 def test_batch_runner_selected_times():
@@ -439,15 +471,19 @@ SEEDS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(), SEEDS)
+@example(5e-324, 0)
+@example(1e-320, 0)
 def test_configs_accept_exactly_finite_epsilon_and_seeds_in_range(epsilon, seed):
-    eps_ok = math.isfinite(epsilon) and epsilon > 0
     integer = type(seed) in (int, np.uint64, np.int64)
-    # a lowerbound trial uses seeds seed .. seed + 3
+    # a lowerbound trial uses seeds seed .. seed + 3; each config also needs a
+    # finite per-vertex scale h/epsilon, which a subnormal epsilon overflows
+    # (h = 3 for the plain tree, 6 for the lowerbound's offset-odd k=3 tree)
     makers = [
-        (lambda: MechanismConfig(DigitSystem.PLAIN, 3, 10, epsilon, seed=seed), 2**64 - 1),
-        (lambda: LowerBoundConfig(T=256, k=4, epsilon=epsilon, trials=1, seed=seed), 2**64 - 4),
+        (lambda: MechanismConfig(DigitSystem.PLAIN, 3, 10, epsilon, seed=seed), 2**64 - 1, 3),
+        (lambda: LowerBoundConfig(T=256, k=4, epsilon=epsilon, trials=1, seed=seed), 2**64 - 4, 6),
     ]
-    for make, top in makers:
+    for make, top, h in makers:
+        eps_ok = math.isfinite(epsilon) and epsilon > 0 and math.isfinite(h / epsilon)
         if eps_ok and integer and 0 <= int(seed) <= top:
             cfg = make()
             assert type(cfg.seed) is int and cfg.seed == int(seed)

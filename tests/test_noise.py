@@ -93,6 +93,17 @@ def test_calibration_rejects_non_finite(bad):
             call()
 
 
+def test_calibration_rejects_a_scale_that_is_not_finite():
+    # a subnormal epsilon or delta passes the range checks, but the scale it
+    # gives is inf (delta1/epsilon, sigma) or nan (delta2/a)
+    with pytest.raises(ValueError, match="scale delta1/epsilon"):
+        calibrate_pure_laplace(1.0, 1e-320)
+    with pytest.raises(ValueError, match="sigma"):
+        calibrate_gaussian(1.0, 1.0, 1e-320)
+    with pytest.raises(ValueError, match="scale delta2/a"):
+        calibrate_l2_laplace(1.0, 1.0, 1e-320)
+
+
 def test_calibrate_gaussian_known_value():
     res = calibrate_gaussian(1.0, 1.0, 1e-5)
     assert res.scale_or_sigma == pytest.approx(4.844805262605389, abs=1e-12)
