@@ -217,21 +217,29 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
     h = config.height
     # before any trial: it rejects an epsilon whose square underflows
     closed = closed_form_mse(config.variant, config.k, h, config.epsilon)
+    if not math.isfinite(closed):
+        raise ValueError(f"the closed-form MSE at epsilon={config.epsilon!r} overflows to {closed!r}")
     runner = BatchRunner(config)
     n_keys = len(runner.keys)
     block = max(1, TRIAL_BLOCK_ELEMENTS // max(config.T, n_keys + 1))
 
     per_trial = np.empty(trials)
-    for done in range(0, trials, block):
-        n = min(block, trials - done)
-        seeds = np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64)
-        z = np.zeros((n_keys + 1, n))  # the last row is the sentinel
-        z[:-1] = vertex_laplace(config.scale, seeds[None, :], runner.keys[:, None])
-        err = runner.noise_sum(z)
-        per_trial[done : done + n] = np.einsum("ij,ij->j", err, err) / config.T
-
-    est = float(per_trial.mean())
-    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # squares past the float range give inf or nan, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, trials, block):
+            n = min(block, trials - done)
+            seeds = np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64)
+            z = np.zeros((n_keys + 1, n))  # the last row is the sentinel
+            z[:-1] = vertex_laplace(config.scale, seeds[None, :], runner.keys[:, None])
+            err = runner.noise_sum(z)
+            per_trial[done : done + n] = np.einsum("ij,ij->j", err, err) / config.T
+        est = float(per_trial.mean())
+        se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise ValueError(
+            f"the Monte-Carlo MSE at epsilon={config.epsilon!r} overflows: "
+            f"mse {est!r}, standard error {se!r}"
+        )
     return ErrorReport(
         variant=config.variant,
         k=config.k,

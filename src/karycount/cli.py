@@ -5,7 +5,9 @@ printed with round-trip precision so downstream comparisons are exact.
 Exit codes: 0 success, 1 usage error, 2 data error (a named output that
 cannot be written is one), 3 bench acceptance failure, 141 the reader of
 stdout went away (128 + SIGPIPE, as a shell reports a process killed by
-that signal).
+that signal).  `run` releases its rows in blocks through
+`mechanisms.BlockNoise`, equal bit for bit to `Mechanism.feed`; on stdout
+the rows of each read of input are flushed before the next read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import analysis, lowerbound, noise
 from .digits import DigitSystem
-from .mechanisms import Mechanism, MechanismConfig, block_noise, check_int64
+from .mechanisms import BlockNoise, MechanismConfig, check_int64
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,8 +30,10 @@ EXIT_PIPE = 141
 
 #: Bytes asked of the input per read; a read returns what is there, up to this.
 READ_BYTES = 1 << 13
-#: Rows of one block of the file release; bounds the memory a block holds.
-BLOCK_ROWS = 1024
+#: Cells (rows times tree levels) of one block of the release: a block holds
+#: max(1, BLOCK_CELLS // h) rows, so its (h, rows) arrays stay this small at
+#: every height.
+BLOCK_CELLS = 1 << 12
 
 _VARIANTS = {
     "plain": DigitSystem.PLAIN,
@@ -215,8 +219,8 @@ def build_parser() -> _Parser:
 def cmd_run(args, out) -> int:
     variant = _VARIANTS[args.variant]
     seed = _resolve_seed(args.seed)
-    # stdout is an online release: every row is flushed before a read that
-    # may wait for more input.  A named file is released in blocks of rows.
+    # stdout is an online release: the rows of each read are flushed before
+    # the next read, which may wait for more input
     online = args.output in (None, "-")
     if args.T is not None:
         # known horizon: stream the input, holding one chunk of it
@@ -243,51 +247,33 @@ def cmd_run(args, out) -> int:
         out.write("# with-true: true prefix sums included, NOT private\n")
     header = "t,estimate,true" if args.with_true else "t,estimate"
     out.write(header + "\n")
-    release = _release_online if online else _release_blocks
-    if release(cfg, chunks, out, args.with_true) == 0:
+    if _release_blocks(cfg, chunks, out, args.with_true) == 0:
         raise DataError("empty input stream")
     out.flush()
     return EXIT_OK
 
 
-def _release_online(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
-    """Write one row per input bit through `Mechanism.feed`; return the rows."""
-    mech = Mechanism(cfg)
-    true_sum = 0
-    t = 0
-    for chunk in chunks:
-        for byte in chunk:
-            t += 1
-            if t > cfg.T:
-                raise DataError(f"input longer than --T {cfg.T}")
-            bit = byte - 48  # b"0" and b"1"
-            est = mech.feed(bit)
-            true_sum += bit
-            row = f"{t},{fmt(est)}"
-            if with_true:
-                row += f",{true_sum}"
-            out.write(row + "\n")
-    return t
-
-
 def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
-    """Write the rows of `BLOCK_ROWS` bits at a time through `block_noise`.
+    """Write one row per input bit, a block of rows at a time; return the rows.
 
-    The bytes equal the online release: the estimate is the true count plus
-    the same canonical-order noise, and both are formatted by `fmt`'s rule.
+    A block is the true counts plus the next call of one `BlockNoise`,
+    which equals `Mechanism.feed` bit for bit, formatted by `fmt`'s rule in
+    one write.
     """
     row = "{},{:.17g},{}\n" if with_true else "{},{:.17g}\n"
+    engine = BlockNoise(cfg)
+    rows = max(1, BLOCK_CELLS // cfg.height)
     t = true_sum = 0
     for chunk in chunks:
         bits = np.frombuffer(chunk, dtype=np.uint8)
-        for start in range(0, len(bits), BLOCK_ROWS):
-            block = bits[start : start + BLOCK_ROWS]
+        for start in range(0, len(bits), rows):
+            block = bits[start : start + rows]
             n = min(len(block), cfg.T - t)
             if n:
                 times = np.arange(t + 1, t + n + 1, dtype=np.int64)
                 counts = np.cumsum(block[:n] - 48, dtype=np.int64)
                 counts += true_sum
-                est = counts + block_noise(cfg, times)
+                est = counts + engine(times)
                 cols = [range(t + 1, t + n + 1), est.tolist()]
                 if with_true:
                     cols.append(counts.tolist())

@@ -5,8 +5,8 @@ current time step and a lazy ledger of Laplace noise terms keyed by tree
 vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the batch `TreeOracle`, which
 walks an explicit tree of subtree sums, and the vectorized `BatchRunner`
-produce bit-identical outputs under the same seed, as does `block_noise`, the
-per-level engine behind the file release of `karycount run`.  That pointwise
+produce bit-identical outputs under the same seed, as does `BlockNoise`, the
+block engine behind both sinks of `karycount run`.  That pointwise
 equality is deliberately stronger than the distributional equivalence it
 mirrors and is what the equivalence tests pin down.
 
@@ -16,7 +16,7 @@ symmetric the ledger stores one draw per vertex which is always *added* to
 the output, for both added and subtracted vertices.
 
 Canonical summation order, used by `Mechanism.feed`, `TreeOracle.run`,
-`BatchRunner` and `block_noise` alike: the noise of an output is 0.0 plus
+`BatchRunner` and `BlockNoise` alike: the noise of an output is 0.0 plus
 each level's sum, from level h-1 down to level 0, and each level's sum is
 0.0 plus that level's draws in digit-walk order.  The true prefix sum is
 added last.  Any other order gives the same distribution but may differ in
@@ -25,6 +25,7 @@ the last bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,9 +58,12 @@ class MechanismConfig:
         # a Python int, so a scalar draw takes the int hash
         object.__setattr__(self, "seed", int(self.seed))
 
-    @property
+    @functools.cached_property
     def height(self) -> int:
-        """Tree height: smallest h whose digit range covers all of [1, T]."""
+        """Tree height: smallest h whose digit range covers all of [1, T].
+
+        Computed once per config: the frozen fields cannot change it.
+        """
         h = 1
         while max_value(self.variant, self.k, h) < self.T:
             h += 1
@@ -214,11 +218,16 @@ def check_int64(config: MechanismConfig) -> None:
         )
 
 
-def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
-    """(times, digits): `times` as int64, and their (h, len(times)) digits.
+def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, digits, bases) of `times`: int64, and two (h, len(times)) arrays.
 
-    Digits are least-significant first, encoded by `%` and `//` per level as
-    `digits.encode` does.
+    digits[l] is the level-l digit and bases[l] the value of the digits above
+    level l, a multiple of k^(l+1).  In every system the digits span
+    [lo, lo + k - 1], so with C = -lo * (k^h - 1)/(k - 1) the shifted time
+    u = t + C lies in [0, k^h) and its plain base-k digits are d_l - lo: with
+    q_l = u // k^l, one broadcast, d_l = q_l - k*q_(l+1) + lo at every
+    level, the unique encoding that `digits.encode` finds by repeated
+    division.
     """
     check_int64(config)
     t = np.asarray(times, dtype=np.int64)
@@ -226,16 +235,15 @@ def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
     if len(t) and (t.min() < 1 or t.max() > config.T):
         raise ValueError(f"times must lie in [1, T={config.T}]")
-    k = config.k
-    hi = digit_bounds(config.variant, k)[1]
-    digits = np.empty((config.height, len(t)), dtype=np.int64)
-    rem = t
-    for lvl in range(config.height):
-        d = rem % k
-        d[d > hi] -= k
-        rem = (rem - d) // k
-        digits[lvl] = d
-    return t, digits
+    k, h = config.k, config.height
+    lo = digit_bounds(config.variant, k)[0]
+    pows = k ** np.arange(h + 1, dtype=np.int64)
+    # shift[l] = -lo * (k^l + ... + k^(h-1)), the part of C at levels >= l
+    shift = -lo * ((pows[h] - pows) // (k - 1))
+    q = (t + shift[0]) // pows[:, None]  # q[l] = u // k^l, so q[l+1] = q[l] // k
+    digits = q[:-1] - k * q[1:] + lo
+    bases = q[1:] * pows[1:, None] - shift[1:, None]
+    return t, digits, bases
 
 
 def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
@@ -248,60 +256,121 @@ def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
     Unused slots hold 0.  A row's keys in use are `Mechanism.ledger_keys()`
     after that step.  Only the given times are encoded.
     """
-    t, digits = _encode_times(config, times)
+    t, digits, bases = _encode_times(config, times)
     h, k = config.height, config.k
     lo, hi = digit_bounds(config.variant, k)
     m = max(hi, -lo)
     keys = np.zeros((len(t), h * m), dtype=np.int64)
     mask = np.zeros((len(t), h * m), dtype=bool)
     slot = np.arange(1, m + 1, dtype=np.int64)
-    base = np.zeros(len(t), dtype=np.int64)  # value of the digits above the level
     for block, lvl in enumerate(range(h - 1, -1, -1)):
         d = digits[lvl][:, None]
         used = slot <= np.abs(d)
         cols = slice(block * m, (block + 1) * m)
-        keys[:, cols] = np.where(used, base[:, None] + np.sign(d) * slot * k**lvl, 0)
+        keys[:, cols] = np.where(used, bases[lvl][:, None] + np.sign(d) * slot * k**lvl, 0)
         mask[:, cols] = used
-        base += digits[lvl] * k**lvl
     return keys, mask
 
 
-def block_noise(config: MechanismConfig, times) -> np.ndarray:
-    """Noise of the outputs at sorted `times`, equal to `feed`'s bit for bit.
+class BlockNoise:
+    """Noise of the outputs at sorted times, call after call, equal to `feed`'s bit for bit.
 
     At level l an output walks the vertices base + j*k^l (digit d > 0) or
     base - j*k^l (d < 0), j = 1..|d|, where base, the value of the digits
     above level l, is a multiple of k^(l+1) that never decreases over sorted
-    times.  So per level and sign one grid of draws, a row per distinct base
-    and a column per j, holds every vertex the outputs walk there, and an
-    output's level sum is one entry of the grid's running sums along j.  The
-    level sums are added onto 0.0 from level h-1 down to 0, the canonical
-    order.  No key is sorted or searched: a base's row is the count of base
-    changes before it.
+    times, and the digit never decreases while the base stays.  A call lays
+    the distinct (level, base) pairs of its times out as the rows of one
+    grid.  A level's top row goes on from the state the level was left in
+    by the last call (at first: base 0, digit 0) if its base is the same:
+    its + side starts from the carried running sum at j0, the carried
+    digit, so only the keys past j0 are drawn.  The - side of a base is
+    drawn once, by the call that meets the base first, as wide as its first
+    digit; later calls read its running sums from the carried state.  So
+    over a stream of calls each key is drawn once, as `feed` draws it, plus
+    the padding of each call's grid to its widest row, and the cost of a
+    call does not grow with t, however wide the tree.  One `vertex_laplace`
+    call draws both sides of every row, `cumsum` gives the running sums,
+    and one gather puts the level sums of the outputs into an
+    (h, len(times)) matrix whose rows are added onto 0.0 from level h-1
+    down to 0, the canonical order.  No key is sorted or searched: a base's
+    row is the count of base changes before it.
     """
-    t, digits = _encode_times(config, times)
-    if np.any(t[1:] < t[:-1]):
-        raise ValueError("times must be sorted")
-    k, scale, seed = config.k, config.scale, config.seed
-    noise = np.zeros(len(t))
-    base = np.zeros(len(t), dtype=np.int64)  # value of the digits above the level
-    starts = np.ones(len(t), dtype=bool)  # first output of each distinct base
-    for lvl in range(config.height - 1, -1, -1):
-        d = digits[lvl]
-        np.not_equal(base[1:], base[:-1], out=starts[1:])
-        up, down = int(d.max(initial=0)), -int(d.min(initial=0))
-        if up or down:
-            # columns: j = 1..up on the + side, then j = 1..down on the - side;
-            # keys of slots no output walks may wrap, and their draws go unread
-            j = np.concatenate((np.arange(1, up + 1), -np.arange(1, down + 1)))
-            z = vertex_laplace(scale, seed, base[starts][:, None] + j * k**lvl)
-            np.cumsum(z[:, :up], axis=1, out=z[:, :up])
-            np.cumsum(z[:, up:], axis=1, out=z[:, up:])
-            col = np.where(d > 0, d - 1, up - 1 - d)
-            # an output whose digit is 0 adds 0.0
-            noise += np.where(d != 0, z[np.cumsum(starts) - 1, col], 0.0)
-        base += d * k**lvl
-    return noise
+
+    def __init__(self, config: MechanismConfig):
+        check_int64(config)
+        h = config.height
+        self.config = config
+        self._step = config.k ** np.arange(h, dtype=np.int64)
+        self._last = 0
+        self._base = np.zeros(h, dtype=np.int64)
+        self._digit = np.zeros(h, dtype=np.int64)
+        # running sum of the + side at the digit (0.0 if it is <= 0), and of
+        # the - side of the base at j = 0, 1, ... (j = 0 holds 0.0)
+        self._sum = np.zeros(h)
+        self._neg = np.zeros((h, 1))
+
+    def __call__(self, times) -> np.ndarray:
+        t, d, b = _encode_times(self.config, times)
+        if not len(t):
+            return np.zeros(0)
+        if t[0] < self._last or np.any(t[1:] < t[:-1]):
+            raise ValueError("times must be sorted, and not before those of the last call")
+        starts = np.ones(b.shape, dtype=bool)  # first column of each (level, base)
+        np.not_equal(b[:, 1:], b[:, :-1], out=starts[:, 1:])
+        row = np.cumsum(starts).reshape(b.shape) - 1
+        # a level's top row goes on from the carried state if its base is the
+        # carried one; its + side then starts at j0, the carried digit
+        top = row[:, 0]
+        on_top = row == top[:, None]
+        goes_on = b[:, 0] == self._base
+        j0 = np.where(goes_on, np.maximum(self._digit, 0), 0)
+        jc = j0[:, None] * on_top  # j0 per column
+        step = np.repeat(self._step, starts.sum(axis=1))
+        base, first = b[starts], d[starts]
+        new = first < 0  # a new base whose first digit is negative
+        new[top] &= ~goes_on
+        up = max(0, int((d - jc).max()))
+        down = -int(first.min(initial=0, where=new))
+        # the grid: + side j0 + c, c = 0..up, then - side j = 0..down; keys
+        # base + (j0 + c)*k^l of every row and base - j*k^l of the new
+        # bases, c, j >= 1.  Keys of slots no output walks may wrap, and
+        # their draws go unread.
+        j0_row = np.zeros(len(base), dtype=np.int64)
+        j0_row[top] = j0
+        plus = base[:, None] + (j0_row[:, None] + np.arange(1, up + 1)) * step[:, None]
+        minus = base[new, None] - np.arange(1, down + 1) * step[new, None]
+        z = vertex_laplace(self.config.scale, self.config.seed,
+                           np.concatenate((plus.ravel(), minus.ravel())))
+        width = up + down + 2
+        grid = np.zeros((len(base), width))
+        grid[top, 0] = np.where(goes_on, self._sum, 0.0)
+        grid[:, 1 : up + 1] = z[: plus.size].reshape(plus.shape)
+        grid[new, up + 2 :] = z[plus.size :].reshape(minus.shape)
+        np.cumsum(grid[:, : up + 1], axis=1, out=grid[:, : up + 1])
+        np.cumsum(grid[:, up + 1 :], axis=1, out=grid[:, up + 1 :])
+        # the outputs; a digit <= 0 on a row that is not new reads a 0.0 of
+        # the - side (clipped to its last column), and on a carried row then
+        # adds the carried - side
+        col = np.where(d > 0, d - jc, up + 1 - d)
+        np.minimum(col, width - 1, out=col)
+        level_sums = grid.ravel()[row * width + col]
+        if self._neg.shape[1] > 1:
+            old = np.where(on_top & goes_on[:, None], -np.minimum(d, 0), 0)
+            level_sums += self._neg[np.arange(len(d))[:, None], old]
+        noise = np.zeros(len(t))
+        for lvl in range(self.config.height - 1, -1, -1):
+            noise += level_sums[lvl]
+        # carry each level's state at the last time to the next call
+        renew = new[row[:, -1]]
+        if renew.any():
+            if self._neg.shape[1] < down + 1:
+                self._neg = np.pad(self._neg, ((0, 0), (0, down + 1 - self._neg.shape[1])))
+            self._neg[renew, : down + 1] = grid[row[renew, -1], up + 1 :]
+        self._last = int(t[-1])
+        self._base = b[:, -1].copy()
+        self._digit = d[:, -1].copy()
+        self._sum = np.where(self._digit > 0, level_sums[:, -1], 0.0)
+        return noise
 
 
 def output_keys(config: MechanismConfig) -> list[list[int]]:

@@ -17,7 +17,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from karycount import cli
+from karycount import cli, mechanisms
+from karycount.mechanisms import Mechanism, MechanismConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
@@ -356,20 +357,28 @@ class RecordingStdin(io.StringIO):
 
 def test_stdout_release_flushes_every_row(monkeypatch):
     # every row is flushed before the next read of the input, which may
-    # block; rows read together are flushed together, not one by one
+    # block, and before the end; rows read together are flushed together,
+    # not one by one.  A write may hold several rows, so rows are the lines
+    # of the written text
     fake = RecordingStdout()
     monkeypatch.setattr("sys.stdin", RecordingStdin("1\n0\n1\n" * 4, fake.events, 6))
     monkeypatch.setattr("sys.stdout", fake)
     assert cli.main(["run", "--seed", "4", "--T", "12", "--input", "-"]) == 0
-    kinds = [kind for kind, _ in fake.events]
-    rows = [i for i, (kind, text) in enumerate(fake.events)
-            if kind == "write" and text[0].isdigit()]
-    assert len(rows) == 12
-    for i in rows:
-        later = kinds[i + 1 :]
-        until = later.index("read") if "read" in later else len(later)
-        assert "flush" in later[:until]
-    assert kinds.count("flush") < len(rows)
+
+    def rows(text):
+        return [line for line in text.split("\n") if line[:1].isdigit()]
+
+    written = "".join(text for kind, text in fake.events if kind == "write")
+    assert len(rows(written)) == 12
+    unflushed = ""  # the text written since the last flush
+    for kind, text in fake.events + [("end", None)]:
+        if kind == "write":
+            unflushed += text
+        elif kind == "flush":
+            unflushed = ""
+        else:  # a read, which may block, or the end of the release
+            assert rows(unflushed) == []
+    assert [kind for kind, _ in fake.events].count("flush") < 12
 
 
 def _read_line(fd, pending: bytes):
@@ -601,6 +610,25 @@ def test_scale_that_is_not_finite_is_usage_error(argv, monkeypatch, capsys):
     assert "inf" not in out and "nan" not in out
 
 
+@pytest.mark.parametrize("epsilon,what", [
+    ("1e-160", "closed-form MSE"),
+    ("3.2e-154", "Monte-Carlo MSE"),  # the closed form is finite, the mean of squares is not
+    ("1e-153", "Monte-Carlo MSE"),  # the mean of squares is finite, its standard error is not
+])
+def test_bench_whose_error_overflows_is_usage_error(epsilon, what):
+    # epsilon^2 > 0 passes, but the closed form or the squared draws pass the
+    # float range: once `inf,nan,inf` with exit 3 and a numpy warning
+    result = subprocess.run(
+        [sys.executable, "-m", "karycount.cli", "bench", "--k", "3", "--h", "2",
+         "--trials", "10", "--epsilon", epsilon],
+        capture_output=True, text=True, timeout=60, env=ENV,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"usage error: the {what} at epsilon={epsilon}")
+    assert result.stderr.count("\n") == 1 and "Warning" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("sink", ["stdout", "file"])
 def test_run_tree_past_int64_is_usage_error(sink, tmp_path, monkeypatch, capsys):
     # T = 10^30 needs h = 24 at k = 19, and 19^24 > 2^63 - 1
@@ -674,8 +702,8 @@ BLOCK_CASES = [("plain", 2), ("plain", 3), ("offset-odd", 3), ("offset-odd", 5),
 )
 def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, read_bytes, data):
     # blocks of a few rows and short reads, so that block edges, read edges
-    # and digit carries fall everywhere; the block release must write the
-    # bytes of the `feed` release and fail the same way
+    # and digit carries fall everywhere; both sinks must write the same
+    # bytes, fail the same way, and release the rows of `Mechanism.feed`
     variant, k = case
     bits = data.draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
     T = n
@@ -691,10 +719,13 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
     argv = ["run", "--variant", variant, "--k", str(k), "--seed", str(seed), *flags]
     if shape != "no --T":
         argv += ["--T", str(T)]
+    cfg = MechanismConfig(cli._VARIANTS[variant], k, T, 1.0, seed=seed,
+                          zero_noise="--zero-noise" in flags)
     with tempfile.TemporaryDirectory() as tmp:
         path, out_path = Path(tmp) / "bits.txt", Path(tmp) / "rows.csv"
         path.write_text("\n".join(bits) + "\n")
-        with mock.patch.object(cli, "BLOCK_ROWS", rows), \
+        # a block holds BLOCK_CELLS // h rows
+        with mock.patch.object(cli, "BLOCK_CELLS", rows * cfg.height), \
                 mock.patch.object(cli, "READ_BYTES", read_bytes):
             code, stdout_text, stdout_err = release(argv, path)
             file_code, file_out, file_err = release(argv + ["--output", str(out_path)], path)
@@ -707,6 +738,31 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
         assert code == 2 and "longer than --T" in stdout_err and len(data_rows) == T
     else:
         assert code == 0 and len(data_rows) == n
+    mech, true_sum, want = Mechanism(cfg), 0, []
+    for t, bit in enumerate(map(int, bits[: len(data_rows)]), start=1):
+        true_sum += bit
+        row = f"{t},{cli.fmt(mech.feed(bit))}"
+        want.append(row + f",{true_sum}" if "--with-true" in flags else row)
+    assert data_rows == want
+
+
+def test_stdout_release_draws_each_key_once_on_a_wide_tree(tmp_path, monkeypatch):
+    # plain k=2^20 has h=1 and digit t at time t: a block that drew its
+    # keys from j=1 would draw O(t) keys, about T^2/8192 in all; the release
+    # carries each level's running sum, so it draws about one key per row
+    T = 200_000
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1\n" * T)
+    draws, draw = [], mechanisms.vertex_laplace
+
+    def counted(scale, seed, keys):
+        draws.append(keys.size)
+        return draw(scale, seed, keys)
+
+    monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
+    code, out, _ = release(["run", "--variant", "plain", "--k", str(2**20), "--T", str(T)], bits)
+    assert code == 0 and out.count("\n") == T + 2
+    assert T <= sum(draws) <= T + 2 * len(draws)
 
 
 # a small process between the test and the release, so that the release's
@@ -719,8 +775,9 @@ SPAWN = (
 
 
 def test_stdout_release_memory_is_flat_in_T(tmp_path):
-    # criterion 4 checks the file release; the online `feed` release holds one
-    # read of input and the ledger, so its peak RSS must not grow with T either
+    # criterion 4 checks the release to a file under `tracemalloc`; the
+    # release to stdout holds one read of input and one block of rows, so its
+    # peak RSS must not grow with T either
     rss = {}
     for T in (10**5, 10**6):
         bits = tmp_path / f"bits_{T}.txt"

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from karycount import mechanisms
 from karycount.analysis import natural_max_T
 from karycount.digits import DigitSystem, digit_bounds, encode, max_value, weight
 from karycount.lowerbound import LowerBoundConfig
 from karycount.mechanisms import (
     BatchRunner,
+    BlockNoise,
     Mechanism,
     MechanismConfig,
     MechanismStateError,
-    block_noise,
     output_keys,
     run_oracle,
     sensitivity_audit,
@@ -55,6 +56,22 @@ def test_config_heights():
     assert MechanismConfig(DigitSystem.OFFSET_EVEN, 4, 42, 1.0).height == 3
     assert MechanismConfig(DigitSystem.OFFSET_EVEN, 4, 43, 1.0).height == 4
     assert MechanismConfig(DigitSystem.OFFSET_ODD, 19, 1, 1.0).height == 1
+
+
+def test_config_height_is_computed_once():
+    # the cached height equals the smallest h whose digit range covers T, at
+    # both ends of every height's range, and later reads hit the cache
+    for variant, k in [(DigitSystem.PLAIN, 2), (DigitSystem.OFFSET_ODD, 19),
+                       (DigitSystem.OFFSET_EVEN, 20)]:
+        for h in range(1, 21):
+            for T in (max_value(variant, k, h - 1) + 1 if h > 1 else 1, max_value(variant, k, h)):
+                cfg = MechanismConfig(variant, k, T, 1.0)
+                want = 1
+                while max_value(variant, k, want) < T:
+                    want += 1
+                assert cfg.height == want == h
+                assert cfg.__dict__["height"] == h
+                assert cfg.scale == h / 1.0
 
 
 def test_config_scale():
@@ -165,33 +182,86 @@ def test_batch_runner_equals_feed(variant, k):
 
 @pytest.mark.parametrize("variant,k", BATCH_CASES)
 def test_block_noise_equals_feed(variant, k):
-    # per-level grids in the canonical order: the streamed noise, bit for
-    # bit, over all times at once, in blocks whose edges cut carries, and at
-    # sparse sorted times with repeats
+    # one grid in the canonical order: the streamed noise, bit for bit, over
+    # all times at once; in blocks whose edges cut carries, through one
+    # engine that carries its state and through a new engine per block; and
+    # at sparse sorted times with repeats
     T = 3000
     for seed in (0, 7, 2**64 - 1):
         cfg = MechanismConfig(variant, k, T, 1.0, seed=seed)
         mech = Mechanism(cfg)
         noise = [mech.feed(0) for _ in range(T)]
-        assert block_noise(cfg, np.arange(1, T + 1)).tolist() == noise
-        blocks = [block_noise(cfg, range(s, min(s + 97, T + 1))) for s in range(1, T + 1, 97)]
+        assert BlockNoise(cfg)(np.arange(1, T + 1)).tolist() == noise
+        for rows in (1, 97):
+            starts = range(1, T + 1, rows) if rows > 1 else range(1, 401)
+            engine = BlockNoise(cfg)
+            blocks = [engine(range(s, min(s + rows, T + 1))) for s in starts]
+            assert np.concatenate(blocks).tolist() == noise[: len(blocks) * rows]
+        blocks = [BlockNoise(cfg)(range(s, min(s + 97, T + 1))) for s in range(1, T + 1, 97)]
         assert np.concatenate(blocks).tolist() == noise
         times = [1, 1, 17, 1500, 2999, 3000]
-        assert block_noise(cfg, times).tolist() == [noise[t - 1] for t in times]
+        assert BlockNoise(cfg)(times).tolist() == [noise[t - 1] for t in times]
+        engine = BlockNoise(cfg)
+        got = [engine(times[:2]), engine([]), engine(times[2:4]), engine(times[4:])]
+        assert np.concatenate(got).tolist() == [noise[t - 1] for t in times]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(VARIANT_ARITIES + [(DigitSystem.OFFSET_ODD, 19), (DigitSystem.PLAIN, 50)]),
+    times=st.lists(st.integers(1, 600), max_size=80).map(sorted),
+    cuts=st.lists(st.integers(0, 80), max_size=8).map(sorted),
+)
+def test_block_noise_carries_state_across_any_calls(case, times, cuts):
+    # sorted times with repeats and jumps, cut into calls of any size, some
+    # empty, through one engine: `feed`'s noise at those times, bit for bit
+    cfg = MechanismConfig(*case, 600, 1.0, seed=11)
+    mech = Mechanism(cfg)
+    noise = [mech.feed(0) for _ in range(cfg.T)]
+    engine = BlockNoise(cfg)
+    got = [engine(part) for part in np.split(np.array(times, dtype=np.int64), cuts)]
+    assert np.concatenate(got).tolist() == [noise[t - 1] for t in times]
+
+
+@pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.OFFSET_ODD, 2**10 + 1)])
+def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
+    # a block draws only the keys its carried state lacks, so one-row blocks
+    # on a tree wider than a block draw about what `feed` draws, not O(t)
+    # each; checked against `feed` bit for bit
+    T = 3000
+    cfg = MechanismConfig(variant, k, T, 1.0, seed=5)
+    mech = Mechanism(cfg)
+    noise = [mech.feed(0) for _ in range(T)]
+    draws = []
+
+    def counted(scale, seed, keys):
+        draws.append(np.size(keys))
+        return vertex_laplace(scale, seed, keys)
+
+    monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
+    engine = BlockNoise(cfg)
+    got = [engine([t]) for t in range(1, T + 1)]
+    assert np.concatenate(got).tolist() == noise
+    # feed's ledger insertions, plus at most two unread keys per level and call
+    assert sum(draws) <= mech.work + 2 * cfg.height * T
 
 
 def test_block_noise_bounds():
     cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 40, 1.0)
-    assert block_noise(cfg, []).shape == (0,)
+    assert BlockNoise(cfg)([]).shape == (0,)
     with pytest.raises(ValueError, match="sorted"):
-        block_noise(cfg, [3, 2])
+        BlockNoise(cfg)([3, 2])
+    engine = BlockNoise(cfg)
+    engine([5])
+    with pytest.raises(ValueError, match="sorted"):
+        engine([4])
     for times in ([0], [41]):
         with pytest.raises(ValueError, match="lie in"):
-            block_noise(cfg, times)
+            BlockNoise(cfg)(times)
     with pytest.raises(OverflowError, match="int64"):
-        block_noise(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), [1])
+        BlockNoise(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0))
     zero = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 40, 1.0, zero_noise=True)
-    assert block_noise(zero, np.arange(1, 41)).tolist() == [0.0] * 40
+    assert BlockNoise(zero)(np.arange(1, 41)).tolist() == [0.0] * 40
 
 
 def test_batch_runner_selected_times():
