@@ -16,18 +16,13 @@ import numpy as np
 
 from .digits import DigitSystem, digit_bounds, max_value
 from .mechanisms import BatchRunner, MechanismConfig, output_keys
-from .noise import vertex_laplace
+from .noise import vertex_laplace  # noqa: F401 -- unused; perfbench/layers.py patches this name
 
 LOG2E = math.log2(math.e)
 
 #: Leading constant of the Gaussian-noise factorization error bound,
 #: 4 / (pi^2 * log2(e)^3), in front of log2(T)^2 * log2(1/delta) / eps^2.
 B_EPS_DELTA = 4.0 / (math.pi**2 * LOG2E**3)
-
-#: Elements of one (outputs x trials) array in `empirical_mse`: its trials
-#: are drawn in blocks of this size, 512 KiB of float64, which bounds the
-#: memory they hold and keeps each array in a core's cache.
-TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 
 def _epsilon_squared(epsilon: float) -> float:
@@ -204,10 +199,10 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
 
     Trial i draws its vertex noise under seed + i (one independent
     mechanism run each); the additive noise, not the input, determines the
-    error, so each trial's errors are the `BatchRunner` noise sums over all
-    T outputs.  Trials go in blocks of about `TRIAL_BLOCK_ELEMENTS` draws
-    or outputs, whichever is more.  The closed form is reported at the
-    variant's natural maximum T for the config's height.
+    error, so each trial's errors are the `BatchRunner.noise` of all T
+    outputs.  Trials go in blocks of `BatchRunner.seeds_per_block` seeds.
+    The closed form is reported at the variant's natural maximum T for the
+    config's height.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -220,18 +215,14 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
     if not math.isfinite(closed):
         raise ValueError(f"the closed-form MSE at epsilon={config.epsilon!r} overflows to {closed!r}")
     runner = BatchRunner(config)
-    n_keys = len(runner.keys)
-    block = max(1, TRIAL_BLOCK_ELEMENTS // max(config.T, n_keys + 1))
+    block = runner.seeds_per_block()
 
     per_trial = np.empty(trials)
     # squares past the float range give inf or nan, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, trials, block):
             n = min(block, trials - done)
-            seeds = np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64)
-            z = np.zeros((n_keys + 1, n))  # the last row is the sentinel
-            z[:-1] = vertex_laplace(config.scale, seeds[None, :], runner.keys[:, None])
-            err = runner.noise_sum(z)
+            err = runner.noise(np.arange(base_seed + done, base_seed + done + n, dtype=np.uint64))
             per_trial[done : done + n] = np.einsum("ij,ij->j", err, err) / config.T
         est = float(per_trial.mean())
         se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

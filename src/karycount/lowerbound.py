@@ -9,8 +9,13 @@ often that can happen, which is what the experiment measures.
 
 Total variation distances over full strings are infeasible to enumerate;
 the block-count reduction (conditioned binomial vs its k-shift) is computed
-exactly, and the base-string distance is evaluated via its closed-form
-bound.
+exactly, with `math.lgamma` and no scipy, and the base-string distance is
+evaluated via its closed-form bound.
+
+The experiment samples its strings one trial at a time but runs the
+mechanism on blocks of trials: it keeps only the strings' block sums, draws
+the noise of all the block's runs in one `BatchRunner.noise` call and finds
+every run's first crossing with numpy, in O(block) memory.
 """
 
 from __future__ import annotations
@@ -97,18 +102,17 @@ class BlockCountDistribution:
     pmf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # imported here: only `tv_exact` needs scipy, and `run` should not load it
-        from scipy.special import gammaln, logsumexp
-
         B, shift = self.B, self.shift
         if B % 4 != 0:
             raise ValueError(f"B={B} must be divisible by 4")
         if shift < 0 or shift > B // 4:
             raise ValueError(f"shift must be in [0, B/4], got {shift}")
         ell = np.arange(B // 4, 3 * B // 4 + 1)
-        # binomial log-pmf via log-gamma; safe for large B
-        logp = gammaln(B + 1) - gammaln(ell + 1) - gammaln(B - ell + 1) - B * math.log(2.0)
-        logp -= logsumexp(logp)
+        # binomial log-pmf via ln n! = lgamma(n + 1); safe for large B
+        ln_fact = np.array([math.lgamma(n + 1) for n in range(B + 1)])
+        logp = ln_fact[B] - ln_fact[ell] - ln_fact[B - ell] - B * math.log(2.0)
+        top = logp.max()
+        logp -= top + math.log(np.exp(logp - top).sum())  # log-sum-exp
         pmf = np.zeros(B + 1)
         pmf[ell + shift] = np.exp(logp)
         object.__setattr__(self, "pmf", pmf)
@@ -144,7 +148,7 @@ def sample_x0(config: LowerBoundConfig, rng: np.random.Generator) -> np.ndarray:
     blocks = rng.integers(0, 2, size=(m, B), dtype=np.int8)
     lo, hi = B // 4, 3 * B // 4
     for _ in range(_REJECTION_CAP):
-        sums = blocks.sum(axis=1)
+        sums = blocks.sum(axis=1, dtype=np.int32)
         bad = (sums < lo) | (sums > hi)
         if not bad.any():
             return blocks.reshape(-1)
@@ -187,7 +191,11 @@ def run_distinguisher(mechanism, y, y_prime, config: LowerBoundConfig, seeds) ->
 
 
 def tree_mechanism_factory(config: LowerBoundConfig):
-    """The mechanism under test, `config.tree_config()`, at the block ends."""
+    """The mechanism under test, `config.tree_config()`, at the block ends.
+
+    Returns `mechanism(bits, seed)`; its `runner` attribute is the
+    `BatchRunner` behind it, which `packing_experiment` drives in blocks.
+    """
     mech_cfg = config.tree_config()
     # the distinguisher only looks at block ends, so only those rows are built
     ends = range(config.B, config.T + 1, config.B)
@@ -196,6 +204,7 @@ def tree_mechanism_factory(config: LowerBoundConfig):
     def run(bits, seed: int) -> np.ndarray:
         return runner.run(bits, seed)
 
+    run.runner = runner
     return run
 
 
@@ -220,26 +229,40 @@ def packing_experiment(config: LowerBoundConfig) -> PackingReport:
 
     Each trial draws a fresh base string, targets one block i (cycling), and
     runs the distinguisher on (x^(i), x^(0)) and on the null pair
-    (x^(0), x^(0)) with independent derived seeds.
+    (x^(0), x^(0)) with independent derived seeds: trial t runs x^(i), x^(0),
+    x^(0), x^(0) under seeds seed + 4t .. seed + 4t + 3.  The runs of a block
+    of trials are one `BatchRunner.noise` call over all their seeds plus the
+    cumulative block sums of the strings, and so equal `run_distinguisher`
+    on `tree_mechanism_factory`'s mechanism bit for bit.
     """
-    mechanism = tree_mechanism_factory(config)
-    m = config.m
+    runner = tree_mechanism_factory(config).runner
+    B, m, trials = config.B, config.m, config.trials
+    per_block = max(1, runner.seeds_per_block() // 4)
     hits = np.zeros(m)
     totals = np.zeros(m)
     null_fired = 0
-    for trial in range(config.trials):
-        rng = np.random.default_rng((config.seed, trial))
-        x0 = sample_x0(config, rng)
-        i = trial % m + 1
-        xi = derive_xi(x0, i, config.k, rng, B=config.B)
-        base = config.seed + 4 * trial
-        j = run_distinguisher(mechanism, xi, x0, config, (base, base + 1))
-        totals[i - 1] += 1
-        if j == i:
-            hits[i - 1] += 1
-        jn = run_distinguisher(mechanism, x0, x0, config, (base + 2, base + 3))
-        if jn is not None:
-            null_fired += 1
+    sums = np.empty((per_block, 2, m), dtype=np.int32)  # of x^(i) and x^(0), per trial
+    for done in range(0, trials, per_block):
+        n = min(per_block, trials - done)
+        for r, trial in enumerate(range(done, done + n)):
+            rng = np.random.default_rng((config.seed, trial))
+            x0 = sample_x0(config, rng)
+            xi = derive_xi(x0, trial % m + 1, config.k, rng, B=B)
+            xi.reshape(m, B).sum(axis=1, dtype=np.int32, out=sums[r, 0])
+            x0.reshape(m, B).sum(axis=1, dtype=np.int32, out=sums[r, 1])
+        # (input, block end, trial)
+        counts = np.cumsum(sums[:n], axis=2, dtype=np.int64).transpose(1, 2, 0)
+        seeds = np.arange(config.seed + 4 * done, config.seed + 4 * (done + n), dtype=np.uint64)
+        noise = runner.noise(seeds).reshape(m, n, 4)
+        # the estimates of run c of each trial are counts + noise[:, :, c]
+        event = (counts[0] + noise[:, :, 0]) - (counts[1] + noise[:, :, 1]) > config.k / 2.0
+        null = (counts[1] + noise[:, :, 2]) - (counts[1] + noise[:, :, 3]) > config.k / 2.0
+        target = np.arange(done, done + n) % m
+        # the first block end over k/2 is the target one
+        hit = event.any(axis=0) & (event.argmax(axis=0) == target)
+        totals += np.bincount(target, minlength=m)
+        hits += np.bincount(target[hit], minlength=m)
+        null_fired += int(null.any(axis=0).sum())
 
     with np.errstate(invalid="ignore", divide="ignore"):
         pr = np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)

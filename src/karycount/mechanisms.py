@@ -35,6 +35,12 @@ import numpy as np
 from .digits import DigitSystem, digit_bounds, encode, max_value
 from .noise import check_scale, vertex_laplace
 
+#: Elements of one (keys + 1) x seeds or outputs x seeds array of
+#: `BatchRunner.noise`: batch callers draw their trials in blocks of
+#: `BatchRunner.seeds_per_block()` seeds, 512 KiB of float64, which bounds
+#: the memory they hold and keeps each array in a core's cache.
+TRIAL_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -454,10 +460,11 @@ class BatchRunner:
     unique keys; an empty level points one past the last key, at a sentinel
     draw of 0.0), and per vertex the index of the one walked before it.
 
-    A run draws one noise vector over the unique keys, turns it into the
-    running level sums along those chains, and adds the level sums of each
-    output from level h-1 down to 0: the canonical order of the module
-    docstring, so a run equals `feed` under the same seed bit for bit.
+    `noise` draws the unique keys under each of its seeds, turns the draws
+    into the running level sums along those chains, and adds the level sums
+    of each output from level h-1 down to 0: the canonical order of the
+    module docstring, so a run equals `feed` under the same seed bit for
+    bit, and so does each seed's column of a batch of seeds.
     Memory is O(len(times) * h) indices, after a walk of O(len(times) * h * m).
     """
 
@@ -491,20 +498,29 @@ class BatchRunner:
         self._ends, self._rows = np.unique(self.times, return_inverse=True)
         self._starts = np.concatenate(([0], self._ends[:-1]))
 
-    def noise_sum(self, z: np.ndarray) -> np.ndarray:
-        """Per output, the draws `z` over its keys summed in canonical order.
+    def seeds_per_block(self) -> int:
+        """Seeds per `noise` call that keep its arrays within `TRIAL_BLOCK_ELEMENTS`."""
+        return max(1, TRIAL_BLOCK_ELEMENTS // max(len(self.times), len(self.keys) + 1))
 
-        `z` has one draw per key of `self.keys` and then the sentinel 0.0,
-        along its first axis; further axes (trials) are carried through.
+    def noise(self, seeds) -> np.ndarray:
+        """The noise of every output under each of `seeds`, in canonical order.
+
+        `seeds` is one seed or an array of them; the result has shape
+        (len(times),) + shape of `seeds`.  Every key is drawn under every
+        seed in one `vertex_laplace` call, with a sentinel row of 0.0 after
+        the keys for the levels an output leaves empty.
         """
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        z = np.zeros((len(self.keys) + 1, *seeds.shape))
+        z[:-1] = vertex_laplace(self.config.scale, seeds,
+                                self.keys.reshape(-1, *(1,) * seeds.ndim))
         # running level sums, slot by slot: 0.0 + z1, then (0.0 + z1) + z2, ...
-        level = z.copy()
         for child, parent in self._chain:
-            level[child] += level[parent]
-        noise = np.take(level, self.index[0], axis=0)  # 0.0 plus the top level
+            z[child] += z[parent]
+        noise = np.take(z, self.index[0], axis=0)  # 0.0 plus the top level
         term = np.empty_like(noise)
         for idx in self.index[1:]:
-            noise += np.take(level, idx, axis=0, out=term)
+            noise += np.take(z, idx, axis=0, out=term)
         return noise
 
     def run(self, bits, seed: int) -> np.ndarray:
@@ -512,11 +528,9 @@ class BatchRunner:
         bits = np.asarray(bits)
         if len(bits) != self.config.T:
             raise ValueError(f"input length {len(bits)} != T={self.config.T}")
-        z = np.zeros(len(self.keys) + 1)
-        z[:-1] = vertex_laplace(self.config.scale, seed, self.keys)
         # unique ends keep every segment non-empty; the last ends at max(times)
         segments = np.add.reduceat(bits[: self._ends[-1]], self._starts, dtype=np.int64)
-        return np.cumsum(segments)[self._rows] + self.noise_sum(z)
+        return np.cumsum(segments)[self._rows] + self.noise(seed)
 
 
 @dataclass

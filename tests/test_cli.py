@@ -318,13 +318,21 @@ def test_bench_seed_above_int64(monkeypatch, capsys):
 
 def test_cli_import_leaves_scipy_unloaded():
     # `run` and `bench` never need scipy, nor `fractions` and the `decimal` it
-    # loads: each module imported is resident memory of every `run`
-    code = "import sys, karycount.cli; print(*(m in sys.modules for m in sys.argv[1:]))"
+    # loads: each module imported is resident memory of every `run`.  Nor
+    # does `lowerbound`, whose exact block TV takes `math.lgamma`, not scipy.
+    code = (
+        "import sys, karycount.cli\n"
+        "names = sys.argv[1:]\n"
+        "loaded = [m in sys.modules for m in names]\n"
+        "code = karycount.cli.main(['lowerbound', '--T', '256', '--k', '4', '--trials', '4'])\n"
+        "print(*loaded, code, *(m in sys.modules for m in names), file=sys.stderr)\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code, "scipy", "fractions", "decimal"],
         capture_output=True, text=True, check=True, env=ENV,
     )
-    assert result.stdout.split() == ["False", "False", "False"]
+    assert result.stderr.split() == ["False"] * 3 + ["0"] + ["False"] * 3
+    assert "\ni,pr_Ei,se,sum_Ej_null,tv_exact,tv_bound\n" in result.stdout
 
 
 class RecordingStdout(io.StringIO):

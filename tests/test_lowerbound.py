@@ -1,11 +1,13 @@
 """Packing-simulator tests: exact TV values, bounds, sampling, distinguisher."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from karycount import mechanisms
 from karycount.lowerbound import (
     BlockCountDistribution,
     LowerBoundConfig,
@@ -57,6 +59,20 @@ def test_exact_block_tv_small_case():
 @pytest.mark.parametrize("B,k", [(8, 2), (16, 2), (16, 4), (64, 4), (256, 4)])
 def test_exact_block_tv_matches_rational_oracle(B, k):
     assert exact_block_tv(B, k) == pytest.approx(float(exact_tv_by_fractions(B, k)), abs=1e-12)
+
+
+# every even k <= B/4 at B <= 64, then k = 2, 8 and B/4
+EXACTNESS_CASES = [(B, k) for B in (8, 16, 64) for k in range(2, B // 4 + 1, 2)] + [
+    (B, k) for B in (320, 1024) for k in (2, 8, B // 4)
+]
+
+
+@pytest.mark.parametrize("B,k", EXACTNESS_CASES)
+def test_exact_block_tv_relative_error(B, k):
+    # the log-gamma pmf, normalized by a hand-written log-sum-exp, against
+    # exact rationals from math.comb
+    exact = exact_tv_by_fractions(B, k)
+    assert abs(Fraction(exact_block_tv(B, k)) - exact) <= Fraction(1, 10**12) * exact
 
 
 @pytest.mark.parametrize("B,k", [(16, 2), (64, 4), (256, 4)])
@@ -207,3 +223,96 @@ def test_packing_experiment_deterministic():
     b = packing_experiment(cfg)
     np.testing.assert_array_equal(a.pr_event, b.pr_event)
     assert a.sum_null == b.sum_null
+
+
+def per_trial_experiment(config):
+    """The experiment one trial at a time: four mechanism runs per trial.
+
+    (pr_event, pr_event_se, trials_per_block, sum_null, sum_null_se), as
+    `packing_experiment` reports them.
+    """
+    mechanism = tree_mechanism_factory(config)
+    m = config.m
+    hits, totals, null_fired = np.zeros(m), np.zeros(m), 0
+    for trial in range(config.trials):
+        rng = np.random.default_rng((config.seed, trial))
+        x0 = sample_x0(config, rng)
+        i = trial % m + 1
+        xi = derive_xi(x0, i, config.k, rng, B=config.B)
+        base = config.seed + 4 * trial
+        totals[i - 1] += 1
+        if run_distinguisher(mechanism, xi, x0, config, (base, base + 1)) == i:
+            hits[i - 1] += 1
+        if run_distinguisher(mechanism, x0, x0, config, (base + 2, base + 3)) is not None:
+            null_fired += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pr = np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
+        se = np.sqrt(pr * (1.0 - pr) / np.maximum(totals, 1))
+    p_null = null_fired / config.trials
+    return pr, se, totals, p_null, math.sqrt(p_null * (1.0 - p_null) / config.trials)
+
+
+def trials_per_noise_block(config):
+    return max(1, tree_mechanism_factory(config).runner.seeds_per_block() // 4)
+
+
+def assert_batched_is_per_trial(config):
+    rep = packing_experiment(config)
+    pr, se, totals, p_null, se_null = per_trial_experiment(config)
+    np.testing.assert_array_equal(rep.pr_event, pr)
+    np.testing.assert_array_equal(rep.pr_event_se, se)
+    np.testing.assert_array_equal(rep.trials_per_block, totals)
+    assert rep.sum_null == p_null and rep.sum_null_se == se_null
+    return rep
+
+
+def test_batched_experiment_fewer_trials_than_blocks():
+    cfg = LowerBoundConfig(T=1024, k=4, epsilon=1.0, trials=10, seed=3)
+    rep = assert_batched_is_per_trial(cfg)
+    assert np.isnan(rep.pr_event[10:]).all() and not np.isnan(rep.pr_event[:10]).any()
+
+
+def test_batched_experiment_partial_last_block():
+    # at this epsilon the noise decides some runs of both pairs either way
+    cfg = LowerBoundConfig(T=1024, k=4, epsilon=16.0, trials=1, seed=21)
+    block = trials_per_noise_block(cfg)
+    cfg = LowerBoundConfig(T=1024, k=4, epsilon=16.0, trials=2 * block + 3, seed=21)
+    assert block > 3
+    rep = assert_batched_is_per_trial(cfg)
+    assert 0.0 < rep.sum_null < 1.0
+    assert 0.0 < np.mean(rep.pr_event) < 1.0
+
+
+def test_batched_experiment_one_trial_per_block(monkeypatch):
+    monkeypatch.setattr(mechanisms, "TRIAL_BLOCK_ELEMENTS", 1)
+    cfg = LowerBoundConfig(T=256, k=4, epsilon=0.5, trials=40, seed=8)
+    assert trials_per_noise_block(cfg) == 1
+    assert_batched_is_per_trial(cfg)
+
+
+def test_batched_experiment_zero_noise():
+    cfg = LowerBoundConfig(T=1024, k=2, epsilon=1.0, trials=70, seed=5, zero_noise=True)
+    rep = assert_batched_is_per_trial(cfg)
+    assert np.all(rep.pr_event == 1.0) and rep.sum_null == 0.0
+
+
+def test_batched_experiment_top_seeds():
+    # the last trial's last run takes seed 2^64 - 1
+    trials = 50
+    cfg = LowerBoundConfig(T=1024, k=4, epsilon=2.0, trials=trials, seed=2**64 - 4 * trials)
+    assert_batched_is_per_trial(cfg)
+
+
+def test_experiment_memory_does_not_grow_with_trials():
+    # counts and noise are held for one block of trials, never for all
+    def peak(trials):
+        cfg = LowerBoundConfig(T=6400, k=4, epsilon=1.0, trials=trials, seed=1)
+        tracemalloc.start()
+        try:
+            packing_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    m = 80
+    assert peak(8 * m) <= 1.5 * peak(m)

@@ -181,6 +181,21 @@ def test_batch_runner_equals_feed(variant, k):
 
 
 @pytest.mark.parametrize("variant,k", BATCH_CASES)
+def test_batch_runner_noise_of_many_seeds_is_each_run(variant, k):
+    # a batch of seeds gives, seed by seed, the noise of a one-seed run
+    T = 500
+    cfg = MechanismConfig(variant, k, T, 1.0)
+    runner = BatchRunner(cfg, times=[T, 1, 250, 250])
+    seeds = np.array([[0, 3, 2**64 - 1], [5, 5, 2**63]], dtype=np.uint64)
+    batch = runner.noise(seeds)
+    assert batch.shape == (4, 2, 3)
+    zeros = [0] * T
+    for r, c in np.ndindex(seeds.shape):
+        assert batch[:, r, c].tolist() == runner.run(zeros, int(seeds[r, c])).tolist()
+    assert runner.noise(7).tolist() == runner.run(zeros, 7).tolist()
+
+
+@pytest.mark.parametrize("variant,k", BATCH_CASES)
 def test_block_noise_equals_feed(variant, k):
     # one grid in the canonical order: the streamed noise, bit for bit, over
     # all times at once; in blocks whose edges cut carries, through one
