@@ -30,10 +30,10 @@ EXIT_PIPE = 141
 
 #: Bytes asked of the input per read; a read returns what is there, up to this.
 READ_BYTES = 1 << 13
-#: Cells (rows times tree levels) of one block of the release: a block holds
-#: max(1, BLOCK_CELLS // h) rows, so its (h, rows) arrays stay this small at
-#: every height.
-BLOCK_CELLS = 1 << 12
+#: Rows of one block of the release, at every height: `BlockNoise` works on
+#: the block's digit runs, about rows * k/(k - 1) + h of them, so a block's
+#: work and memory do not grow with h.
+BLOCK_ROWS = 1 << 11
 
 _VARIANTS = {
     "plain": DigitSystem.PLAIN,
@@ -257,31 +257,43 @@ def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
     """Write one row per input bit, a block of rows at a time; return the rows.
 
     A block is the true counts plus the next call of one `BlockNoise`,
-    which equals `Mechanism.feed` bit for bit, formatted by `fmt`'s rule in
-    one write.
+    which equals `Mechanism.feed` bit for bit, formatted by `format_rows`
+    in one write.
     """
-    row = "{},{:.17g},{}\n" if with_true else "{},{:.17g}\n"
     engine = BlockNoise(cfg)
-    rows = max(1, BLOCK_CELLS // cfg.height)
     t = true_sum = 0
     for chunk in chunks:
         bits = np.frombuffer(chunk, dtype=np.uint8)
-        for start in range(0, len(bits), rows):
-            block = bits[start : start + rows]
+        for start in range(0, len(bits), BLOCK_ROWS):
+            block = bits[start : start + BLOCK_ROWS]
             n = min(len(block), cfg.T - t)
             if n:
                 times = np.arange(t + 1, t + n + 1, dtype=np.int64)
                 counts = np.cumsum(block[:n] - 48, dtype=np.int64)
                 counts += true_sum
                 est = counts + engine(times)
-                cols = [range(t + 1, t + n + 1), est.tolist()]
-                if with_true:
-                    cols.append(counts.tolist())
-                out.write("".join(map(row.format, *cols)))
+                out.write(format_rows(t, est, counts if with_true else None))
                 t, true_sum = t + n, int(counts[-1])
             if n < len(block):
                 raise DataError(f"input longer than --T {cfg.T}")
     return t
+
+
+def format_rows(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> str:
+    """CSV rows t+1, t+2, ... of the estimates (and true counts), by `fmt`'s rule.
+
+    One `%` over the interleaved columns: `%.17g` of a float is `fmt`'s
+    `.17g`, and `%d` of an int its `str`.
+    """
+    n = len(est)
+    width = 2 if counts is None else 3
+    cells = [None] * (width * n)
+    cells[0::width] = range(t + 1, t + n + 1)
+    cells[1::width] = est.tolist()
+    if counts is not None:
+        cells[2::width] = counts.tolist()
+    row = "%d,%.17g\n" if counts is None else "%d,%.17g,%d\n"
+    return (row * n) % tuple(cells)
 
 
 def cmd_bench(args, out) -> int:

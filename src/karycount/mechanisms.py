@@ -41,6 +41,15 @@ from .noise import check_scale, vertex_laplace
 #: the memory they hold and keeps each array in a core's cache.
 TRIAL_BLOCK_ELEMENTS = 1 << 16
 
+#: Bytes the key walk of a `BatchRunner` may take: one cell per output,
+#: level and digit slot, 17 bytes each (an int64 key, a bool mask and an
+#: intp position).  A larger walk is refused before anything is allocated.
+#: 256 MiB holds the walk of `bench --variant offset-odd --k 19 --h 4`
+#: (40 MB) but not that of `--h 5` (0.95 GB).
+WALK_BYTES_MAX = 1 << 28
+
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -217,39 +226,75 @@ def _all_times(config: MechanismConfig) -> np.ndarray:
 def check_int64(config: MechanismConfig) -> None:
     """Raise `OverflowError` unless every time and key of the tree fits in int64."""
     # every key and every time is at most max_value(h) < k^h
-    if config.k**config.height > np.iinfo(np.int64).max:
+    if config.k**config.height > _INT64_MAX:
         raise OverflowError(
             f"k={config.k}, h={config.height} (T={config.T}): "
             "times and vertex keys do not fit in int64"
         )
 
 
-def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, digits, bases) of `times`: int64, and two (h, len(times)) arrays.
+def check_walk_budget(config: MechanismConfig, rows: int) -> None:
+    """Raise `ValueError` if the key walk of `rows` outputs passes `WALK_BYTES_MAX`."""
+    lo, hi = digit_bounds(config.variant, config.k)
+    need = rows * config.height * max(hi, -lo) * 17
+    if need > WALK_BYTES_MAX:
+        raise ValueError(
+            f"the key walk of {rows} outputs at k={config.k}, h={config.height} needs "
+            f"{need} bytes, over the budget of {WALK_BYTES_MAX} bytes"
+        )
 
-    digits[l] is the level-l digit and bases[l] the value of the digits above
-    level l, a multiple of k^(l+1).  In every system the digits span
-    [lo, lo + k - 1], so with C = -lo * (k^h - 1)/(k - 1) the shifted time
-    u = t + C lies in [0, k^h) and its plain base-k digits are d_l - lo: with
-    q_l = u // k^l, one broadcast, d_l = q_l - k*q_(l+1) + lo at every
-    level, the unique encoding that `digits.encode` finds by repeated
-    division.
-    """
+
+def _check_times(config: MechanismConfig, times) -> np.ndarray:
+    """`times` as a one-dimensional int64 array in [1, T], after `check_int64`."""
     check_int64(config)
     t = np.asarray(times, dtype=np.int64)
     if t.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
     if len(t) and (t.min() < 1 or t.max() > config.T):
         raise ValueError(f"times must lie in [1, T={config.T}]")
+    return t
+
+
+def _shifts(config: MechanismConfig) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, pows, shift): the lowest digit, k^l and the shift of the digits at levels >= l.
+
+    In every system the digits span [lo, lo + k - 1], so with
+    C = -lo * (k^h - 1)/(k - 1) the shifted time u = t + C lies in [0, k^h)
+    and its plain base-k digits are d_l - lo.  pows and shift have h + 1
+    entries, l = 0..h; shift[l] = -lo * (k^l + ... + k^(h-1)) is the part
+    of C at levels >= l, so shift[0] = C and shift[h] = 0.
+    """
     k, h = config.k, config.height
     lo = digit_bounds(config.variant, k)[0]
     pows = k ** np.arange(h + 1, dtype=np.int64)
-    # shift[l] = -lo * (k^l + ... + k^(h-1)), the part of C at levels >= l
-    shift = -lo * ((pows[h] - pows) // (k - 1))
+    return lo, pows, -lo * ((pows[h] - pows) // (k - 1))
+
+
+def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, digits, bases) of `times`: int64, and two (h, len(times)) arrays.
+
+    digits[l] is the level-l digit and bases[l] the value of the digits above
+    level l, a multiple of k^(l+1).  With u = t + C (`_shifts`) and
+    q_l = u // k^l, one broadcast, d_l = q_l - k*q_(l+1) + lo at every
+    level, the unique encoding that `digits.encode` finds by repeated
+    division.
+    """
+    t = _check_times(config, times)
+    lo, pows, shift = _shifts(config)
     q = (t + shift[0]) // pows[:, None]  # q[l] = u // k^l, so q[l+1] = q[l] // k
-    digits = q[:-1] - k * q[1:] + lo
+    digits = q[:-1] - config.k * q[1:] + lo
     bases = q[1:] * pows[1:, None] - shift[1:, None]
     return t, digits, bases
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values of the sorted, non-empty x, index of each element's value among them)."""
+    change = np.empty(len(x), dtype=bool)
+    change[0] = True
+    np.not_equal(x[1:], x[:-1], out=change[1:])
+    index = np.cumsum(change)
+    index -= 1
+    return x[change], index
 
 
 def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
@@ -281,102 +326,168 @@ def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
 class BlockNoise:
     """Noise of the outputs at sorted times, call after call, equal to `feed`'s bit for bit.
 
-    At level l an output walks the vertices base + j*k^l (digit d > 0) or
+    With u = t + C (`_shifts`), the digits at every level >= l depend only
+    on q_l = u // k^l, and over sorted times q_l changes only once every
+    k^l steps.  A call therefore works on runs: level 0's runs are its
+    times, and level l+1's the distinct q_l // k of level l's runs, so each
+    run has one digit and one base.  Once a level has one run, so has every
+    level above it, and their q_l come from one broadcast.  The work of a
+    call over r consecutive times is O(r*k/(k-1) + h), not O(r*h).
+
+    At level l a run walks the vertices base + j*k^l (digit d > 0) or
     base - j*k^l (d < 0), j = 1..|d|, where base, the value of the digits
     above level l, is a multiple of k^(l+1) that never decreases over sorted
-    times, and the digit never decreases while the base stays.  A call lays
-    the distinct (level, base) pairs of its times out as the rows of one
-    grid.  A level's top row goes on from the state the level was left in
-    by the last call (at first: base 0, digit 0) if its base is the same:
-    its + side starts from the carried running sum at j0, the carried
-    digit, so only the keys past j0 are drawn.  The - side of a base is
-    drawn once, by the call that meets the base first, as wide as its first
-    digit; later calls read its running sums from the carried state.  So
-    over a stream of calls each key is drawn once, as `feed` draws it, plus
-    the padding of each call's grid to its widest row, and the cost of a
-    call does not grow with t, however wide the tree.  One `vertex_laplace`
-    call draws both sides of every row, `cumsum` gives the running sums,
-    and one gather puts the level sums of the outputs into an
-    (h, len(times)) matrix whose rows are added onto 0.0 from level h-1
-    down to 0, the canonical order.  No key is sorted or searched: a base's
-    row is the count of base changes before it.
+    times, and the digit never decreases while the base stays.  The runs of
+    all levels are laid end to end; a run's base is that of its parent run
+    at level l+1, so the parent runs (and, above level h-1, the root) are
+    the rows of one grid.  A level's top row goes on from the state the
+    level was left in by the last call (at first: base 0, digit 0) if its
+    base is the same: its + side starts from the carried running sum at j0,
+    the carried digit, so only the keys past j0 are drawn.  The - side of a
+    base is drawn once, by the call that meets the base first, as wide as
+    its first digit; later calls read its running sums from the carried
+    state.  So over a stream of calls each key is drawn once, as `feed`
+    draws it, plus the padding of each call's grid to its widest row, and
+    the cost of a call does not grow with t, however wide the tree.  One
+    `vertex_laplace` call draws both sides of every row, `cumsum` gives the
+    running sums, and one gather gives each run its level sum.  The noise
+    of a run at level l is acc_l = acc_(l+1)[parent run] + its level sum,
+    from level h-1 down to 0 starting at 0.0: `feed`'s recursion, the
+    canonical order.  No key is sorted or searched.
     """
 
     def __init__(self, config: MechanismConfig):
         check_int64(config)
         h = config.height
         self.config = config
-        self._step = config.k ** np.arange(h, dtype=np.int64)
+        self._lo, self._pows, self._shift = _shifts(config)
         self._last = 0
         self._base = np.zeros(h, dtype=np.int64)
-        self._digit = np.zeros(h, dtype=np.int64)
-        # running sum of the + side at the digit (0.0 if it is <= 0), and of
-        # the - side of the base at j = 0, 1, ... (j = 0 holds 0.0)
+        self._j = np.zeros(h, dtype=np.int64)  # the digit, or 0 if it is <= 0
+        # running sum of the + side at j (0.0 if j is 0), and of the - side
+        # of the base at j = 0, 1, ... (j = 0 holds 0.0)
         self._sum = np.zeros(h)
         self._neg = np.zeros((h, 1))
 
     def __call__(self, times) -> np.ndarray:
-        t, d, b = _encode_times(self.config, times)
+        t = _check_times(self.config, times)
         if not len(t):
             return np.zeros(0)
-        if t[0] < self._last or np.any(t[1:] < t[:-1]):
+        if t[0] < self._last or (t[1:] < t[:-1]).any():
             raise ValueError("times must be sorted, and not before those of the last call")
-        starts = np.ones(b.shape, dtype=bool)  # first column of each (level, base)
-        np.not_equal(b[:, 1:], b[:, :-1], out=starts[:, 1:])
-        row = np.cumsum(starts).reshape(b.shape) - 1
-        # a level's top row goes on from the carried state if its base is the
-        # carried one; its + side then starts at j0, the carried digit
-        top = row[:, 0]
-        on_top = row == top[:, None]
-        goes_on = b[:, 0] == self._base
-        j0 = np.where(goes_on, np.maximum(self._digit, 0), 0)
-        jc = j0[:, None] * on_top  # j0 per column
-        step = np.repeat(self._step, starts.sum(axis=1))
-        base, first = b[starts], d[starts]
+        off, split, row, plevel, d, base = self._runs(t)
+        acc = self._level_sums(off, row, plevel, d, base)
+        self._last = int(t[-1])
+        # the noise of each run, from the root down, as `feed` adds it: the
+        # single runs of levels h-1..split in one sequential cumsum from the
+        # root's 0.0, then level by level onto the parents
+        chain = acc[off[split] :][::-1]
+        chain.cumsum(out=chain)
+        above = acc[off[1] :]
+        for lvl in range(split - 1, -1, -1):
+            runs = slice(off[lvl], off[lvl + 1])
+            acc[runs] += above[row[runs]]
+        return acc[: len(t)]
+
+    def _runs(self, t: np.ndarray):
+        """(off, split, row, plevel, d, base): the runs of sorted times t.
+
+        Level 0's runs are the times (a repeated time is a run of its own),
+        level l+1's the distinct q // k of level l's.  Levels split..h-1
+        have one run each, from one broadcast; run r is at level l for
+        off[l] <= r < off[l+1], and run off[h] is the root, q_h = 0.  d[r]
+        is run r's digit.  The grid's rows are the runs above level 0:
+        row[r] is run r's parent, plevel[i] is row i's level and base[i] the
+        base of its children, the value of the digits from level plevel[i] up.
+        """
+        k, h = self.config.k, self.config.height
+        pows, shift = self._pows, self._shift
+        q = t + shift[0]
+        qs, parents = [], []
+        while len(q) > 1:
+            qs.append(q)
+            q, parent = _distinct(q // k)
+            parents.append(parent)
+        split = len(qs)
+        qs.append(q // pows[: h + 1 - split])
+        counts = [len(x) for x in qs[:split]] + [1] * (h + 1 - split)
+        off = list(itertools.accumulate(counts, initial=0))
+        n = off[h]
+        row = np.concatenate([p + (off[lvl + 1] - off[1]) for lvl, p in enumerate(parents)]
+                             + [np.arange(off[split] + 1, n + 1) - off[1]])
+        q = np.concatenate(qs)
+        plevel = np.repeat(np.arange(1, h + 1), counts[1:])
+        base = q[off[1] :] * pows[plevel]
+        base -= shift[plevel]
+        d = q[:n] % k
+        d += self._lo
+        return off, split, row, plevel, d, base
+
+    def _level_sums(self, off, row, plevel, d, base) -> np.ndarray:
+        """Each run's level sum, then 0.0 for the root; carries each level's state on.
+
+        A level's top row goes on from the carried state if its base is the
+        carried one: its + side then starts at j0, the carried digit.
+        """
+        h, n, rows = self.config.height, len(d), len(base)
+        top = row[off[:h]]
+        goes_on = base[top] == self._base
+        j0 = np.zeros(rows, dtype=np.int64)
+        j0[top] = self._j * goes_on
+        col = d - j0[row]  # a run's + side column: its digit past j0
+        up = max(0, int(col.max()))
+        starts = np.ones(n, dtype=bool)  # first run of each row
+        np.not_equal(row[1:], row[:-1], out=starts[1:])
+        first = d[starts]
         new = first < 0  # a new base whose first digit is negative
         new[top] &= ~goes_on
-        up = max(0, int((d - jc).max()))
         down = -int(first.min(initial=0, where=new))
+        del starts, first  # freed here, not at the return, for the call's peak memory
         # the grid: + side j0 + c, c = 0..up, then - side j = 0..down; keys
         # base + (j0 + c)*k^l of every row and base - j*k^l of the new
-        # bases, c, j >= 1.  Keys of slots no output walks may wrap, and
-        # their draws go unread.
-        j0_row = np.zeros(len(base), dtype=np.int64)
-        j0_row[top] = j0
-        plus = base[:, None] + (j0_row[:, None] + np.arange(1, up + 1)) * step[:, None]
+        # bases, c, j >= 1.  Keys of slots no run walks may wrap, and their
+        # draws go unread.
+        step = self._pows[plevel - 1]
+        plus = j0[:, None] + np.arange(1, up + 1)
+        plus *= step[:, None]
+        plus += base[:, None]
         minus = base[new, None] - np.arange(1, down + 1) * step[new, None]
         z = vertex_laplace(self.config.scale, self.config.seed,
                            np.concatenate((plus.ravel(), minus.ravel())))
         width = up + down + 2
-        grid = np.zeros((len(base), width))
+        grid = np.zeros((rows, width))
         grid[top, 0] = np.where(goes_on, self._sum, 0.0)
         grid[:, 1 : up + 1] = z[: plus.size].reshape(plus.shape)
         grid[new, up + 2 :] = z[plus.size :].reshape(minus.shape)
-        np.cumsum(grid[:, : up + 1], axis=1, out=grid[:, : up + 1])
-        np.cumsum(grid[:, up + 1 :], axis=1, out=grid[:, up + 1 :])
-        # the outputs; a digit <= 0 on a row that is not new reads a 0.0 of
-        # the - side (clipped to its last column), and on a carried row then
-        # adds the carried - side
-        col = np.where(d > 0, d - jc, up + 1 - d)
+        del j0, step, plus, minus, z  # likewise
+        grid[:, : up + 1].cumsum(axis=1, out=grid[:, : up + 1])
+        grid[:, up + 1 :].cumsum(axis=1, out=grid[:, up + 1 :])
+        # a digit <= 0 on a row that is not new reads a 0.0 of the - side
+        # (clipped to its last column), and on a carried row then adds the
+        # carried - side
+        np.subtract(up + 1, d, out=col, where=d <= 0)
         np.minimum(col, width - 1, out=col)
-        level_sums = grid.ravel()[row * width + col]
+        acc = np.empty(n + 1)
+        acc[:n] = grid[row, col]
+        acc[n] = 0.0
         if self._neg.shape[1] > 1:
-            old = np.where(on_top & goes_on[:, None], -np.minimum(d, 0), 0)
-            level_sums += self._neg[np.arange(len(d))[:, None], old]
-        noise = np.zeros(len(t))
-        for lvl in range(self.config.height - 1, -1, -1):
-            noise += level_sums[lvl]
-        # carry each level's state at the last time to the next call
-        renew = new[row[:, -1]]
+            carried = np.zeros(rows, dtype=bool)
+            carried[top] = goes_on
+            old = np.minimum(d, 0)
+            np.negative(old, out=old)
+            old *= carried[row]
+            acc[:n] += self._neg[plevel[row] - 1, old]
+        last = [o - 1 for o in off[1 : h + 1]]
+        last_row = row[last]
+        renew = new[last_row]
         if renew.any():
             if self._neg.shape[1] < down + 1:
                 self._neg = np.pad(self._neg, ((0, 0), (0, down + 1 - self._neg.shape[1])))
-            self._neg[renew, : down + 1] = grid[row[renew, -1], up + 1 :]
-        self._last = int(t[-1])
-        self._base = b[:, -1].copy()
-        self._digit = d[:, -1].copy()
-        self._sum = np.where(self._digit > 0, level_sums[:, -1], 0.0)
-        return noise
+            self._neg[renew, : down + 1] = grid[last_row[renew], up + 1 :]
+        self._base = base[last_row]
+        self._j = np.maximum(d[last], 0)
+        self._sum = np.where(self._j > 0, acc[last], 0.0)
+        return acc
 
 
 def output_keys(config: MechanismConfig) -> list[list[int]]:
@@ -465,12 +576,17 @@ class BatchRunner:
     of each output from level h-1 down to 0: the canonical order of the
     module docstring, so a run equals `feed` under the same seed bit for
     bit, and so does each seed's column of a batch of seeds.
-    Memory is O(len(times) * h) indices, after a walk of O(len(times) * h * m).
+    Memory is O(len(times) * h) indices, after a walk of O(len(times) * h * m),
+    which `check_walk_budget` bounds before it starts.
     """
 
     def __init__(self, config: MechanismConfig, times=None):
         self.config = config
-        self.times = _all_times(config) if times is None else np.asarray(times, dtype=np.int64)
+        check_int64(config)
+        if times is not None:
+            times = np.asarray(times, dtype=np.int64)
+        check_walk_budget(config, config.T if times is None else len(times))
+        self.times = _all_times(config) if times is None else times
         if not len(self.times):
             raise ValueError("times must not be empty")
         keys, mask = walk_keys(config, self.times)

@@ -40,13 +40,17 @@ _C3 = _U64(_K3)
 
 
 def _mix64(z):
-    """splitmix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
-    z = (z + _C1) & _U64(0xFFFFFFFFFFFFFFFF)
+    """splitmix64 finalizer on a uint64 array, in place (wraps mod 2^64); returns z.
+
+    A numpy scalar cannot change in place, so for one the result is a new scalar.
+    """
+    z += _C1
     z ^= z >> _U64(30)
     z *= _C2
     z ^= z >> _U64(27)
     z *= _C3
-    return z ^ (z >> _U64(31))
+    z ^= z >> _U64(31)
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -79,10 +83,33 @@ def vertex_uniform(seed, index):
     """
     if isinstance(seed, int) and isinstance(index, int):
         return _uniform_int(seed, index)
-    with np.errstate(over="ignore"):
-        s = _mix64(np.asarray(seed, dtype=np.uint64))
-        h = _mix64(s ^ (np.asarray(index, dtype=np.uint64) * _C1))
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _scalar_or_array(_uniform_array(seed, index))
+
+
+def _uniform_array(seed, index) -> np.ndarray:
+    """`vertex_uniform` as a new array (0-d for scalars), built in place."""
+    # array arithmetic wraps silently; only numpy scalars warn on overflow
+    if isinstance(seed, int):
+        if not 0 <= seed <= _M64:
+            raise OverflowError(f"seed must lie in [0, 2^64), got {seed}")
+        s = _U64(_mix64_seed(seed))
+    else:
+        s = _mix64(np.array(seed, dtype=np.uint64))
+    index = np.asarray(index, dtype=np.uint64)
+    h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64)
+    np.multiply(index, _C1, out=h)
+    h ^= s
+    _mix64(h)
+    h >>= _U64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
+
+
+def _scalar_or_array(a: np.ndarray):
+    """A numpy scalar for a 0-d array, else the array, as numpy arithmetic returns."""
+    return a if a.ndim else a[()]
 
 
 # the one Laplace transform of both paths: a scalar draw through `math.log1p`
@@ -104,11 +131,18 @@ def vertex_laplace(scale, seed, index):
             return 0.0
         v = _uniform_int(seed, index) - 0.5
         return -scale * math.copysign(1.0, v) * float(_log1p(-2.0 * abs(v)))
-    u = vertex_uniform(seed, index)
+    v = _uniform_array(seed, index)
     if scale == 0.0:
-        return np.zeros_like(u)
-    v = u - 0.5
-    return -scale * np.sign(v) * _log1p(-2.0 * np.abs(v))
+        return np.zeros_like(v)
+    # -scale * sign(v) * log1p(-2|v|) with v = u - 0.5, in two arrays
+    v -= 0.5
+    a = np.abs(v, out=np.empty_like(v))
+    a *= -2.0
+    _log1p(a, out=a)
+    np.sign(v, out=v)
+    v *= -scale
+    v *= a
+    return _scalar_or_array(v)
 
 
 class NoiseRegime(Enum):

@@ -14,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -560,6 +561,38 @@ def test_bench_height_past_int64_is_usage_error():
     assert result.stdout == ""
 
 
+def test_bench_over_the_walk_budget_is_refused_before_allocating():
+    # T = 23,522,940 outputs at k=19, h=6: the key walk would take 21.6 GB;
+    # the budget refuses it before even the 188 MB array of times exists
+    cap = 3_000_000 * 1024
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "karycount.cli", "bench", "--variant", "offset-odd",
+         "--k", "19", "--h", "6", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_child, env=ENV,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage error: the key walk of 23522940 outputs")
+    assert f"budget of {mechanisms.WALK_BYTES_MAX} bytes" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_walk_budget_admits_the_benchmarked_sizes():
+    # the largest walks tier-1 and the benchmark run: bench --k 19 --h 4,
+    # the benchmark's bench and its lowerbound at T = 102,400 (320 block ends)
+    bench = MechanismConfig(cli._VARIANTS["offset-odd"], 19, 65160, 1.0)
+    even = MechanismConfig(cli._VARIANTS["offset-even"], 20, 4210, 1.0)
+    packing = MechanismConfig(cli._VARIANTS["offset-odd"], 3, 102_400, 1.0)
+    for cfg, rows in ((bench, 65160), (even, 4210), (packing, 320)):
+        mechanisms.check_walk_budget(cfg, rows)
+    with pytest.raises(ValueError, match="budget"):
+        mechanisms.check_walk_budget(bench, 20 * 65160)
+
+
 def test_bench_k19_h4_memory(monkeypatch, capsys):
     # T = 65,160 outputs: a dense outputs x vertices float64 matrix would be 31.6 GiB
     tracemalloc.start()
@@ -732,8 +765,7 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
     with tempfile.TemporaryDirectory() as tmp:
         path, out_path = Path(tmp) / "bits.txt", Path(tmp) / "rows.csv"
         path.write_text("\n".join(bits) + "\n")
-        # a block holds BLOCK_CELLS // h rows
-        with mock.patch.object(cli, "BLOCK_CELLS", rows * cfg.height), \
+        with mock.patch.object(cli, "BLOCK_ROWS", rows), \
                 mock.patch.object(cli, "READ_BYTES", read_bytes):
             code, stdout_text, stdout_err = release(argv, path)
             file_code, file_out, file_err = release(argv + ["--output", str(out_path)], path)
@@ -752,6 +784,23 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
         row = f"{t},{cli.fmt(mech.feed(bit))}"
         want.append(row + f",{true_sum}" if "--with-true" in flags else row)
     assert data_rows == want
+
+
+def test_format_rows_is_fmt():
+    # one `%` over a block's columns gives the bytes of `fmt`, row by row,
+    # on random doubles and on the edges of the float and int formats
+    rng = np.random.default_rng(3)
+    est = np.concatenate((
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000),
+        [-0.0, 0.0, 5e-324, -5e-324, 2.0**53 + 2, 1e300, -1e300, 0.1, 1 / 3],
+    ))
+    counts = rng.integers(0, 2**62, len(est))
+    counts[:3] = [0, 2**53 + 1, 2**63 - 1]
+    for t in (0, 2**53):
+        want = [f"{cli.fmt(t + i + 1)},{cli.fmt(e)}" for i, e in enumerate(est.tolist())]
+        assert cli.format_rows(t, est) == "".join(row + "\n" for row in want)
+        got = cli.format_rows(t, est, counts)
+        assert got == "".join(f"{row},{c}\n" for row, c in zip(want, counts.tolist()))
 
 
 def test_stdout_release_draws_each_key_once_on_a_wide_tree(tmp_path, monkeypatch):

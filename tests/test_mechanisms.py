@@ -1,6 +1,8 @@
 """Mechanism tests: exactness, streaming/batch equality, ledger bounds, audits."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +238,66 @@ def test_block_noise_carries_state_across_any_calls(case, times, cuts):
     engine = BlockNoise(cfg)
     got = [engine(part) for part in np.split(np.array(times, dtype=np.int64), cuts)]
     assert np.concatenate(got).tolist() == [noise[t - 1] for t in times]
+
+
+COLLAPSE_CASES = [(DigitSystem.PLAIN, 2), (DigitSystem.PLAIN, 3),
+                  (DigitSystem.OFFSET_ODD, 19), (DigitSystem.OFFSET_EVEN, 20)]
+
+
+@functools.cache
+def _fed_noise(variant, k, T, seed):
+    mech = Mechanism(MechanismConfig(variant, k, T, 1.0, seed=seed))
+    return [mech.feed(0) for _ in range(T)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(COLLAPSE_CASES),
+    seed=st.sampled_from([0, 2**64 - 1]),
+    start=st.integers(1, 200),
+    calls=st.lists(st.tuples(st.sampled_from(["one", "few", "wide"]), st.integers(0, 10**6),
+                             st.integers(0, 3)), min_size=1, max_size=6),
+)
+@example(case=COLLAPSE_CASES[0], seed=0, start=1,
+         calls=[("wide", 0, 0), ("one", 0, 0), ("few", 5, 1), ("one", 0, 3)])
+def test_block_noise_equals_feed_across_the_run_collapse(case, seed, start, calls):
+    # calls of one row and of fewer than k rows, whose levels above 0 (or
+    # above 1) have one run each, and "wide" calls of more than k^(h-1)
+    # rows, where even the top level has several runs, each after a gap in
+    # time of 0 to 3, through one engine: `feed`'s noise at those times,
+    # bit for bit
+    variant, k = case
+    T = 1000
+    cfg = MechanismConfig(variant, k, T, 1.0, seed=seed)
+    wide = k ** (cfg.height - 1) + 1
+    noise = _fed_noise(variant, k, T, seed)
+    engine = BlockNoise(cfg)
+    t, got, want = start, [], []
+    for kind, r, gap in calls:
+        rows = {"one": 1, "few": 1 + r % (k - 1), "wide": wide + r % (T - wide + 1)}[kind]
+        times = np.arange(t + gap, min(t + gap + rows, T + 1))
+        got.append(engine(times))
+        want += [noise[s - 1] for s in times]
+        t += gap + rows
+    assert np.concatenate(got).tolist() == want
+
+
+def test_block_noise_memory_does_not_grow_with_height():
+    # a call holds a few arrays of its runs, about rows*k/(k-1) + h of them,
+    # and no (h, rows) array: one 4,096-row call at h = 20 peaks below one
+    # (h, rows) int64 array
+    cfg = MechanismConfig(DigitSystem.PLAIN, 2, 10**6, 1.0, seed=3)
+    assert cfg.height == 20
+    engine = BlockNoise(cfg)
+    engine(np.arange(1, 5000))
+    times = np.arange(5000, 5000 + 4096)
+    tracemalloc.start()
+    try:
+        engine(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.height * 4096 * 8
 
 
 @pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.OFFSET_ODD, 2**10 + 1)])
