@@ -126,7 +126,10 @@ def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
     if not 0 < epsilon <= 1 or not 0 < delta < 1:
         raise ValueError(f"epsilon must be in (0, 1] and delta in (0, 1), got {(epsilon, delta)}")
     C = (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
-    return C**2 * (1.0 + math.log(4.0 * T / 5.0) / math.pi) ** 2
+    bound = C**2 * (1.0 + math.log(4.0 * T / 5.0) / math.pi) ** 2
+    if not math.isfinite(bound):  # a subnormal delta overflows sqrt(2/pi) / delta
+        raise ValueError(f"the Gaussian bound at delta={delta!r} overflows to {bound!r}")
+    return bound
 
 
 @dataclass(frozen=True)

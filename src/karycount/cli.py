@@ -3,9 +3,10 @@
 Output is CSV with `#`-prefixed comment lines; every numeric field is
 printed with round-trip precision so downstream comparisons are exact.
 Exit codes: 0 success, 1 usage error, 2 data error (a named output that
-cannot be written is one), 3 bench acceptance failure, 141 the reader of
-stdout went away (128 + SIGPIPE, as a shell reports a process killed by
-that signal).  `run` releases its rows in blocks through
+cannot be opened or written is one; it is opened at the command's first
+line, so a usage error leaves it as it was), 3 bench acceptance failure,
+141 the reader of stdout went away (128 + SIGPIPE, as a shell reports a
+process killed by that signal).  `run` releases its rows in blocks through
 `mechanisms.BlockNoise`, equal bit for bit to `Mechanism.feed`; on stdout
 the rows of each read of input are flushed before the next read.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -95,10 +97,10 @@ def _read_bits(path: str, before_read=None):
 
     A chunk holds the tokens of one read of the input, up to `READ_BYTES`,
     up to its last separator; a token cut off at its end waits for the next
-    read.  `before_read()` is called before every read, which may block.
-    Tokens are separated by commas and line breaks and stripped of
-    whitespace.  A bad token raises `DataError` naming its line, once the
-    bits before it are yielded.
+    read, and so does the "\n" of a "\r\n" cut at its "\r".
+    `before_read()` is called before every read, which may block.  Each
+    chunk goes through `_parse_lines`; a bad token raises `DataError`
+    naming its line, once the bits before it are yielded.
     """
     read, close = _open_input(path)
     lineno = 1
@@ -133,29 +135,87 @@ def _read_bits(path: str, before_read=None):
             close()
 
 
+#: The ASCII whitespace that `str.strip` removes, but for the separators.
+_BLANKS = b"\t\v\f\x1c\x1d\x1e\x1f "
+_SEPARATORS = b",\n\r"
+#: The class of every byte: " " a blank, "," a separator, "b" a bit and "x"
+#: any other byte, every byte >= 0x80 among them.
+_CLASSES = bytes(
+    ord(" ") if c in _BLANKS else ord(",") if c in _SEPARATORS else ord("b") if c in b"01"
+    else ord("x")
+    for c in range(256)
+)
+#: In the classes of a chunk: a token the table cannot settle, one with an
+#: "x" or with two bits.  It is matched from the token's first byte, and
+#: compiled by `re` at its first use: input of bits may never need it.
+_UNSETTLED = rb"(?<![^,])[^,]*?(?:x|b *b)[^,]*"
+
+
 def _parse_lines(text: bytes, lineno: int):
     """(bits, next line number, error or None) of UTF-8 input cut at a separator.
 
     The rule of a line-by-line text reader: "\r\n", "\r" and "\n" end a
-    line, and the first bad token stops the parse.
+    line, a comma ends a token too, a token is stripped of whitespace
+    (`str.strip`, Unicode whitespace included) and must then be "0", "1"
+    or empty, and the first bad token stops the parse.
+
+    `_CLASSES` settles a token whose bytes are blanks and at most one bit:
+    its bit is the only byte left when the blanks and separators are
+    deleted.  When every token is settled, as in any input of bits, blanks
+    and separators, the chunk is parsed by two `bytes.translate` calls and
+    a few searches.  Otherwise `_UNSETTLED` finds the other tokens, and
+    each of them alone is decoded with "replace" and stripped.
     """
-    lines = text.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
-    bits = []
-    for lineno, line in enumerate(lines.split("\n"), start=lineno):
-        for token in line.split(","):
-            token = token.strip()
-            if token in ("0", "1"):
-                bits.append(token)
-            elif token:
-                error = f"line {lineno}: expected '0' or '1', got {token!r}"
-                return "".join(bits).encode(), lineno, error
-    return "".join(bits).encode(), lineno, None
+    solid = text.translate(_CLASSES, _BLANKS)
+    settled = b"x" not in solid and b"bb" not in solid
+    parts, start = [], 0
+    for token in () if settled else re.finditer(_UNSETTLED, text.translate(_CLASSES)):
+        parts.append(text[start : token.start()].translate(None, _BLANKS + _SEPARATORS))
+        start = token.end()
+        value = text[token.start() : start].decode("utf-8", "replace").strip()
+        if value in ("0", "1"):
+            parts.append(value.encode())
+        elif value:
+            lineno += _line_breaks(text[: token.start()])
+            error = f"line {lineno}: expected '0' or '1', got {value!r}"
+            return b"".join(parts), lineno, error
+    parts.append(text[start:].translate(None, _BLANKS + _SEPARATORS))
+    return b"".join(parts), lineno + _line_breaks(text), None
 
 
-def _open_output(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _line_breaks(text: bytes) -> int:
+    """The lines `text` ends: each "\n", "\r" and "\r\n" ends one."""
+    n = text.count(b"\n")
+    if b"\r" in text:
+        n += text.count(b"\r") - text.count(b"\r\n")
+    return n
+
+
+class _Output:
+    """A named output file, opened, and so truncated, at its first write.
+
+    A command writes its first line only once its arguments are valid, so
+    a usage error leaves the file as it was.
+    """
+
+    def __init__(self, path: str):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            try:
+                self.file = open(self.path, "w")
+            except OSError as exc:
+                raise DataError(f"cannot write output {self.path}: {exc}")
+        return self.file.write(text)
+
+    def flush(self) -> None:
+        if self.file is not None:
+            self.file.flush()
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
 
 
 def build_parser() -> _Parser:
@@ -299,6 +359,8 @@ def format_rows(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> st
 def cmd_bench(args, out) -> int:
     variant = _VARIANTS[args.variant]
     seed = _resolve_seed(args.seed)
+    if args.h > 63:  # k >= 2, so k^h > 2^63 - 1; k**h itself would not end
+        raise UsageError(f"--h {args.h}: times and vertex keys do not fit in int64")
     try:
         T = analysis.natural_max_T(variant, args.k, args.h)
         cfg = MechanismConfig(
@@ -431,15 +493,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         path = getattr(args, "output", "-")
-        out, close = _open_output(path)
+        named = path not in (None, "-")
+        out = _Output(path) if named else sys.stdout
         try:
             try:
                 return _COMMANDS[args.command](args, out)
             finally:
-                if close:
+                if named:
                     out.close()
         except BrokenPipeError as exc:
-            if close:  # the reader of a named output, a FIFO, went away
+            if named:  # the reader of a named output, a FIFO, went away
                 raise DataError(f"cannot write output {path}: {exc}")
             # the rows still buffered would fail again when Python flushes stdout
             # at exit, so stdout goes to /dev/null (the recipe of the `signal` docs)

@@ -222,8 +222,8 @@ def calibrate_l2_laplace(delta2: float, epsilon: float, delta: float) -> Calibra
     """Laplace scale delta2/a for (epsilon, delta)-DP via l2-sensitivity."""
     if not (math.isfinite(delta2) and delta2 > 0):
         raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
-    a = l2_laplace_a(epsilon, delta)
-    scale = check_scale("l2-Laplace scale delta2/a", delta2 / a)
+    a = l2_laplace_a(epsilon, delta)  # 0.0 when a subnormal epsilon underflows it
+    scale = check_scale("l2-Laplace scale delta2/a", delta2 / a if a > 0 else math.inf)
     return CalibrationResult(scale, epsilon, delta, NoiseRegime.L2_LAPLACE, a_param=a)
 
 

@@ -535,6 +535,36 @@ def test_closed_named_output_is_data_error(tmp_path):
     assert "Traceback" not in err
 
 
+SMALL_COMMANDS = {
+    **COMMANDS,
+    "calibrate": ["calibrate", "--delta1", "1", "--epsilon", "1"],
+    "analyze": ["analyze", "crossover"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("command", list(SMALL_COMMANDS))
+def test_unopenable_output_is_data_error(command, where, tmp_path, monkeypatch, capsys):
+    # once an IsADirectoryError or FileNotFoundError traceback with exit 1
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(SMALL_COMMANDS[command] + ["--output", str(path)],
+                             stdin_text="1\n0\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert err.startswith(f"data error: cannot write output {path}: ")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", list(SMALL_COMMANDS))
+def test_usage_error_leaves_the_output_untouched(command, tmp_path, monkeypatch, capsys):
+    # the output is opened at its first line, after the arguments are checked
+    path = tmp_path / "results.csv"
+    path.write_text("earlier results\n")
+    code, _, err = run_cli(SMALL_COMMANDS[command] + ["--epsilon", "-1", "--output", str(path)],
+                           stdin_text="1\n0\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and err.startswith("usage error:")
+    assert path.read_text() == "earlier results\n"
+
+
 def test_file_sink_keeps_rows_before_bad_token(tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "rows.csv"
     code, _, err = run_cli(
@@ -694,28 +724,59 @@ def old_line_tokens(text: str):
     return "".join(bits), None
 
 
-TOKENS = st.sampled_from(["0", "1", "0", "1", "10", "2", " 1", "0 ", "1\t", "x", "é", ""])
-SEPARATORS = st.sampled_from(["\n", "\n", ",", ", ", "\r\n", "\r", "\n\n"])
+TOKENS = st.sampled_from([
+    b"0", b"1", b"0", b"1", b"10", b"2", b" 1", b"0 ", b"1\t", b"x", "\u00e9".encode(), b"",
+    b"\x0b1\x0c", b"\x1c0\x1d", b"\x1e1\x1f", b"\x0b", b"0 1",  # ASCII whitespace, two bits
+    "\u00a01".encode(), "0\u3000".encode(), "\u00851\u0085".encode(),  # Unicode whitespace
+    "\u00a0".encode(), "\u3000 ".encode(), "\u0085".encode(),
+    b"\xff", b"1\xff", b"\xe2\x80", b" \x85",  # not UTF-8: each gives U+FFFD
+])
+SEPARATORS = st.sampled_from([b"\n", b"\n", b",", b", ", b"\r\n", b"\r", b"\n\n"])
 
 
-@settings(max_examples=200, deadline=None)
+def read_all_bits(path):
+    """(bits, error or None) of `cli._read_bits` over the file at `path`."""
+    got, error = [], None
+    try:
+        for chunk in cli._read_bits(str(path)):
+            got.append(chunk.decode())
+    except cli.DataError as exc:
+        error = str(exc)
+    return "".join(got), error
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(TOKENS, SEPARATORS), max_size=40), st.integers(1, 9))
-@example([("0", "\r"), ("0", "\n"), ("0", "\n")], 3)  # a read ends after "0\r0"
+@example([(b"0", b"\r"), (b"0", b"\n"), (b"0", b"\n")], 3)  # a read ends after "0\r0"
 def test_read_bits_chunks_follow_the_line_rule(pairs, read_bytes):
-    # reads of a few bytes cut tokens, lines and "\r\n" pairs anywhere
-    text = "".join(token + sep for token, sep in pairs)
-    want_bits, want_error = old_line_tokens(text)
+    # reads of a few bytes cut tokens, lines, "\r\n" pairs and UTF-8
+    # sequences anywhere; the reference decodes the whole input at once
+    data = b"".join(token + sep for token, sep in pairs)
+    want = old_line_tokens(data.decode("utf-8", "replace"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bits.txt"
-        path.write_bytes(text.encode())
-        got, error = [], None
+        path.write_bytes(data)
         with mock.patch.object(cli, "READ_BYTES", read_bytes):
-            try:
-                for chunk in cli._read_bits(str(path)):
-                    got.append(chunk.decode())
-            except cli.DataError as exc:
-                error = str(exc)
-    assert ("".join(got), error) == (want_bits, want_error)
+            assert read_all_bits(path) == want
+
+
+@pytest.mark.parametrize("bad", [b"x", b"0 1", "\u00e9".encode(), b"\xff"])
+def test_bad_token_in_the_middle_of_a_full_read(bad, tmp_path):
+    # the benchmark's input, one seeded bit per "\n" line, cut by 8 KiB reads,
+    # with one bad token in the middle of the first read: its line and the
+    # bits before it as the reference has them.  A chunk of bits, blanks and
+    # separators alone is settled by the byte table: `_UNSETTLED` is not used
+    lines = [str(b).encode() for b in np.random.default_rng(7).integers(0, 2, 10_000)]
+    lines[2_000] = b" \t" + bad + b"\x0c"
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "bits.txt"
+    path.write_bytes(data)
+    want = old_line_tokens(data.decode("utf-8", "replace"))
+    assert want[1].startswith("line 2001:") and len(want[0]) == 2_000
+    assert read_all_bits(path) == want
+    clean = b"".join(b"%s\x0b\r\n  ,\t" % line for line in lines[:2_000])
+    with mock.patch.object(cli, "_UNSETTLED", None):
+        assert cli._parse_lines(clean, 5) == (b"".join(lines[:2_000]), 2_005, None)
 
 
 def release(argv, input_path):
@@ -848,3 +909,121 @@ def test_stdout_release_memory_is_flat_in_T(tmp_path):
         assert code == 0
         rss[T] = maxrss_kib * 1024
     assert rss[10**6] <= rss[10**5] + 2**21
+
+
+EDGE_INTS = ["0", "-1", str(2**63), str(2**64)]
+EDGE_FLOATS = ["0", "-1", "5e-324", "inf", "nan", str(2.0**63), str(2.0**64)]
+
+
+def ints(*valid):
+    return st.sampled_from([*map(str, valid), *EDGE_INTS])
+
+
+def floats(*valid):
+    return st.sampled_from([*map(str, valid), *EDGE_FLOATS])
+
+
+def given_value(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def option(name, values):
+    """`[name, value]`, or the option left out."""
+    return st.one_of(st.just([]), given_value(name, values))
+
+
+def switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def argv_of(*parts):
+    return st.tuples(*parts).map(lambda lists: [arg for args in lists for arg in args])
+
+
+VARIANT = option("--variant", st.sampled_from(list(cli._VARIANTS)))
+SEED = option("--seed", ints(5))
+# `analyze constants` writes a row per arity in [--k-min, --k-max], so the
+# span is drawn small; either end may still be an edge value
+ARITY_RANGE = st.one_of(st.just([]), st.tuples(ints(2, 3), st.integers(-1, 30)).map(
+    lambda lo_span: ["--k-min", lo_span[0], "--k-max", str(int(lo_span[0]) + lo_span[1])]))
+ARGV = {
+    "run": argv_of(VARIANT, option("--k", ints(2, 3, 4, 19)), option("--epsilon", floats(1, 0.5)),
+                   option("--T", ints(1, 3, 10)), SEED, switch("--with-true"),
+                   switch("--zero-noise")),
+    "bench": argv_of(VARIANT, option("--k", ints(3, 4, 5)), option("--h", ints(1, 2)),
+                     option("--epsilon", floats(1, 0.5)), given_value("--trials", ints(1, 10)),
+                     SEED, switch("--zero-noise")),
+    "calibrate": argv_of(option("--delta1", floats(1, 3)), option("--delta2", floats(1)),
+                         given_value("--epsilon", floats(1, 0.5)),
+                         option("--delta", floats(1e-6, 0.1))),
+    "analyze": argv_of(st.sampled_from([["constants"], ["crossover"]]), VARIANT,
+                       option("--k", ints(3, 19)), ARITY_RANGE, option("--T", ints(2, 1 << 20)),
+                       option("--epsilon", floats(1, 0.5)), option("--delta", floats(1e-6, 0.1))),
+    "lowerbound": argv_of(given_value("--T", ints(16, 256)), given_value("--k", ints(2, 4)),
+                          option("--epsilon", floats(1, 0.5)),
+                          given_value("--trials", ints(1, 4, 20)), SEED, switch("--zero-noise")),
+}
+INPUTS = st.sampled_from([
+    b"", b"\n\n", b"1\n0\n1\n", b"1,0\r\n1\r", b" 1 ,\t0\n\n", "\u00a01\n0\u3000\n".encode(),
+    b"x\n", b"1\n2\n", b"0 1\n", b"\xff\n", b"1" * 12,
+])
+
+
+def finite_problems(text: str, command: str, argv: list[str]) -> list[str]:
+    """The numeric fields of a release that are not finite.
+
+    `lowerbound` gives nan as pr_Ei and se of a block that got no trial,
+    trial j going to block j mod m + 1: that one is documented.
+    """
+    trials = int(argv[argv.index("--trials") + 1]) if "--trials" in argv else None
+    problems = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            fields = [kv.partition("=")[2] for kv in line[1:].split()]
+        else:
+            fields = line.split(",")
+            if command == "lowerbound" and fields[0].isdigit() and int(fields[0]) > trials:
+                if fields[1:3] != ["nan", "nan"]:
+                    problems.append(line)
+                fields = fields[3:]
+        for field in fields:
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                problems.append(line)
+    return problems
+
+
+@settings(max_examples=250, deadline=None)
+@given(command=st.sampled_from(list(ARGV)), data=st.data(), input_bytes=INPUTS,
+       output=st.sampled_from(["stdout", "fresh file", "directory", "missing directory"]))
+def test_main_exits_with_a_documented_code_on_any_argv(command, data, input_bytes, output):
+    # edge values of every option of every subcommand, in process: a
+    # documented exit code, never a traceback, and a release of finite
+    # numbers that says it is not private only when a testing hook is on
+    argv = [command, *data.draw(ARGV[command], label="options")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {"stdout": None, "fresh file": Path(tmp) / "rows.csv", "directory": Path(tmp),
+                "missing directory": Path(tmp) / "missing" / "rows.csv"}[output]
+        bits = Path(tmp) / "bits.txt"
+        bits.write_bytes(input_bytes)
+        if command == "run":
+            argv += ["--input", str(bits)]
+        if path is not None:
+            argv += ["--output", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ):
+            os.environ.pop("DP_SEED", None)
+            code = cli.main(argv)
+        released = path.read_text() if output == "fresh file" and path.exists() else out.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if output in ("directory", "missing directory"):
+        assert code in (1, 2) and out.getvalue() == ""
+    if code == 0:
+        assert finite_problems(released, command, argv) == [], argv
+        hooked = "--zero-noise" in argv or "--with-true" in argv
+        assert hooked or "NOT private" not in released
