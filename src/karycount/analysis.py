@@ -188,8 +188,8 @@ class ErrorReport:
 def exhaustive_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> float:
     """Independent oracle: average digit weight times 2h^2/eps^2.
 
-    Enumerates the key walk for every t in [1, T]; shares nothing with the
-    closed forms beyond the per-vertex variance.
+    Counts the ledger's vertices after every step t in [1, T] (`output_keys`);
+    shares nothing with the closed forms beyond the per-vertex variance.
     """
     T = natural_max_T(variant, k, h)
     cfg = MechanismConfig(variant=variant, k=k, T=T, epsilon=epsilon)

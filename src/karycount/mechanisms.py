@@ -4,11 +4,11 @@
 current time step and a lazy ledger of Laplace noise terms keyed by tree
 vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the batch `TreeOracle`, which
-walks an explicit tree of subtree sums, and the vectorized `BatchRunner`
-produce bit-identical outputs under the same seed, as does `BlockNoise`, the
-block engine behind both sinks of `karycount run`.  That pointwise
-equality is deliberately stronger than the distributional equivalence it
-mirrors and is what the equivalence tests pin down.
+walks an explicit tree of subtree sums, is bit-identical to it under the
+same seed, as are the vectorized `BlockNoise` (`karycount run`) and
+`BatchRunner` (`bench`, `lowerbound`), which share one digit walk, `_runs`.
+That pointwise equality is deliberately stronger than the distributional
+equivalence it mirrors and is what the equivalence tests pin down.
 
 Sign convention: a vertex is always consumed with the same role (left
 children are added, right children subtracted), and since Laplace noise is
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,12 +41,13 @@ from .noise import check_scale, vertex_laplace
 #: the memory they hold and keeps each array in a core's cache.
 TRIAL_BLOCK_ELEMENTS = 1 << 16
 
-#: Bytes the key walk of a `BatchRunner` may take: one cell per output,
-#: level and digit slot, 17 bytes each (an int64 key, a bool mask and an
-#: intp position).  A larger walk is refused before anything is allocated.
-#: 256 MiB holds the walk of `bench --variant offset-odd --k 19 --h 4`
-#: (40 MB) but not that of `--h 5` (0.95 GB).
-WALK_BYTES_MAX = 1 << 28
+#: Bytes the plan of a `BatchRunner` may take: 8 per output and level for
+#: its index, and 64 per digit run and per vertex key while it is built,
+#: counted for the most runs and keys the requested times can have.  A
+#: larger plan is refused before anything is allocated.  1 GiB holds the
+#: plan of `bench --variant offset-odd --k 19 --h 5` (T = 1,238,049, 212 MB)
+#: but not that of `--h 6` (4.2 GB).
+PLAN_BYTES_MAX = 1 << 30
 
 _INT64_MAX = 2**63 - 1
 
@@ -217,12 +218,6 @@ class Mechanism:
         return self._true_sum + acc[0]
 
 
-def _all_times(config: MechanismConfig) -> np.ndarray:
-    """The times 1..T as an int64 array, after `check_int64`."""
-    check_int64(config)
-    return np.arange(1, config.T + 1, dtype=np.int64)
-
-
 def check_int64(config: MechanismConfig) -> None:
     """Raise `OverflowError` unless every time and key of the tree fits in int64."""
     # every key and every time is at most max_value(h) < k^h
@@ -233,14 +228,22 @@ def check_int64(config: MechanismConfig) -> None:
         )
 
 
-def check_walk_budget(config: MechanismConfig, rows: int) -> None:
-    """Raise `ValueError` if the key walk of `rows` outputs passes `WALK_BYTES_MAX`."""
-    lo, hi = digit_bounds(config.variant, config.k)
-    need = rows * config.height * max(hi, -lo) * 17
-    if need > WALK_BYTES_MAX:
+def check_plan_budget(config: MechanismConfig, rows: int, span: int) -> None:
+    """Raise `ValueError` if the plan of `rows` sorted times passes `PLAN_BYTES_MAX`.
+
+    `span` is the largest time minus the smallest.  Level l has at most
+    min(rows, span // k^l + 2) runs, and a row at level l + 1 walks at most
+    k - 1 keys, as a run at level l at most m, the largest digit magnitude.
+    """
+    k, h = config.k, config.height
+    lo, hi = digit_bounds(config.variant, k)
+    runs = [min(rows, span // k**lvl + 2) for lvl in range(h)] + [1]
+    keys = sum(min(max(hi, -lo) * runs[lvl], (k - 1) * runs[lvl + 1]) for lvl in range(h))
+    need = 8 * h * rows + 64 * (sum(runs) + keys)
+    if need > PLAN_BYTES_MAX:
         raise ValueError(
-            f"the key walk of {rows} outputs at k={config.k}, h={config.height} needs "
-            f"{need} bytes, over the budget of {WALK_BYTES_MAX} bytes"
+            f"the plan of {rows} outputs at k={k}, h={h} needs {need} bytes "
+            f"({need // rows} per output), over the budget of {PLAN_BYTES_MAX} bytes"
         )
 
 
@@ -270,23 +273,6 @@ def _shifts(config: MechanismConfig) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, pows, -lo * ((pows[h] - pows) // (k - 1))
 
 
-def _encode_times(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, digits, bases) of `times`: int64, and two (h, len(times)) arrays.
-
-    digits[l] is the level-l digit and bases[l] the value of the digits above
-    level l, a multiple of k^(l+1).  With u = t + C (`_shifts`) and
-    q_l = u // k^l, one broadcast, d_l = q_l - k*q_(l+1) + lo at every
-    level, the unique encoding that `digits.encode` finds by repeated
-    division.
-    """
-    t = _check_times(config, times)
-    lo, pows, shift = _shifts(config)
-    q = (t + shift[0]) // pows[:, None]  # q[l] = u // k^l, so q[l+1] = q[l] // k
-    digits = q[:-1] - config.k * q[1:] + lo
-    bases = q[1:] * pows[1:, None] - shift[1:, None]
-    return t, digits, bases
-
-
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values of the sorted, non-empty x, index of each element's value among them)."""
     change = np.empty(len(x), dtype=bool)
@@ -297,30 +283,40 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[change], index
 
 
-def walk_keys(config: MechanismConfig, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex keys of the outputs at `times`, one padded row per time.
+def _runs(config: MechanismConfig, shifts, t: np.ndarray):
+    """(off, split, row, plevel, d, base): the digit runs of sorted times t.
 
-    Returns (keys, mask), both of shape (len(times), h*m), where m is the
-    largest digit magnitude.  The columns are h blocks of m slots, one per
-    level from h-1 down to 0 (walk order); slot j of a block holds the
-    (j+1)-th vertex walked at that level, and `mask` marks the slots in use.
-    Unused slots hold 0.  A row's keys in use are `Mechanism.ledger_keys()`
-    after that step.  Only the given times are encoded.
+    `shifts` is `_shifts(config)`.  Level 0's runs are the times (a repeated
+    time is a run of its own), level l+1's the distinct q // k of level
+    l's.  Levels split..h-1 have one run each, from one broadcast; run r is
+    at level l for off[l] <= r < off[l+1], and run off[h] is the root,
+    q_h = 0.  d[r] is run r's digit.  The runs above level 0 are the rows:
+    row[r] is run r's parent, plevel[i] is row i's level and base[i] the
+    base of its children, the value of the digits from level plevel[i] up.
+    A row's children are consecutive runs, and their digits never decrease.
     """
-    t, digits, bases = _encode_times(config, times)
-    h, k = config.height, config.k
-    lo, hi = digit_bounds(config.variant, k)
-    m = max(hi, -lo)
-    keys = np.zeros((len(t), h * m), dtype=np.int64)
-    mask = np.zeros((len(t), h * m), dtype=bool)
-    slot = np.arange(1, m + 1, dtype=np.int64)
-    for block, lvl in enumerate(range(h - 1, -1, -1)):
-        d = digits[lvl][:, None]
-        used = slot <= np.abs(d)
-        cols = slice(block * m, (block + 1) * m)
-        keys[:, cols] = np.where(used, bases[lvl][:, None] + np.sign(d) * slot * k**lvl, 0)
-        mask[:, cols] = used
-    return keys, mask
+    k, h = config.k, config.height
+    lo, pows, shift = shifts
+    q = t + shift[0]
+    qs, parents = [], []
+    while len(q) > 1:
+        qs.append(q)
+        q, parent = _distinct(q // k)
+        parents.append(parent)
+    split = len(qs)
+    qs.append(q // pows[: h + 1 - split])
+    counts = [len(x) for x in qs[:split]] + [1] * (h + 1 - split)
+    off = list(itertools.accumulate(counts, initial=0))
+    n = off[h]
+    row = np.concatenate([p + (off[lvl + 1] - off[1]) for lvl, p in enumerate(parents)]
+                         + [np.arange(off[split] + 1, n + 1) - off[1]])
+    q = np.concatenate(qs)
+    plevel = np.repeat(np.arange(1, h + 1), counts[1:])
+    base = q[off[1] :] * pows[plevel]
+    base -= shift[plevel]
+    d = q[:n] % k
+    d += lo
+    return off, split, row, plevel, d, base
 
 
 class BlockNoise:
@@ -360,7 +356,8 @@ class BlockNoise:
         check_int64(config)
         h = config.height
         self.config = config
-        self._lo, self._pows, self._shift = _shifts(config)
+        self._shifts = _shifts(config)
+        self._pows = self._shifts[1]
         self._last = 0
         self._base = np.zeros(h, dtype=np.int64)
         self._j = np.zeros(h, dtype=np.int64)  # the digit, or 0 if it is <= 0
@@ -375,7 +372,7 @@ class BlockNoise:
             return np.zeros(0)
         if t[0] < self._last or (t[1:] < t[:-1]).any():
             raise ValueError("times must be sorted, and not before those of the last call")
-        off, split, row, plevel, d, base = self._runs(t)
+        off, split, row, plevel, d, base = _runs(self.config, self._shifts, t)
         acc = self._level_sums(off, row, plevel, d, base)
         self._last = int(t[-1])
         # the noise of each run, from the root down, as `feed` adds it: the
@@ -388,40 +385,6 @@ class BlockNoise:
             runs = slice(off[lvl], off[lvl + 1])
             acc[runs] += above[row[runs]]
         return acc[: len(t)]
-
-    def _runs(self, t: np.ndarray):
-        """(off, split, row, plevel, d, base): the runs of sorted times t.
-
-        Level 0's runs are the times (a repeated time is a run of its own),
-        level l+1's the distinct q // k of level l's.  Levels split..h-1
-        have one run each, from one broadcast; run r is at level l for
-        off[l] <= r < off[l+1], and run off[h] is the root, q_h = 0.  d[r]
-        is run r's digit.  The grid's rows are the runs above level 0:
-        row[r] is run r's parent, plevel[i] is row i's level and base[i] the
-        base of its children, the value of the digits from level plevel[i] up.
-        """
-        k, h = self.config.k, self.config.height
-        pows, shift = self._pows, self._shift
-        q = t + shift[0]
-        qs, parents = [], []
-        while len(q) > 1:
-            qs.append(q)
-            q, parent = _distinct(q // k)
-            parents.append(parent)
-        split = len(qs)
-        qs.append(q // pows[: h + 1 - split])
-        counts = [len(x) for x in qs[:split]] + [1] * (h + 1 - split)
-        off = list(itertools.accumulate(counts, initial=0))
-        n = off[h]
-        row = np.concatenate([p + (off[lvl + 1] - off[1]) for lvl, p in enumerate(parents)]
-                             + [np.arange(off[split] + 1, n + 1) - off[1]])
-        q = np.concatenate(qs)
-        plevel = np.repeat(np.arange(1, h + 1), counts[1:])
-        base = q[off[1] :] * pows[plevel]
-        base -= shift[plevel]
-        d = q[:n] % k
-        d += self._lo
-        return off, split, row, plevel, d, base
 
     def _level_sums(self, off, row, plevel, d, base) -> np.ndarray:
         """Each run's level sum, then 0.0 for the root; carries each level's state on.
@@ -493,12 +456,16 @@ class BlockNoise:
 def output_keys(config: MechanismConfig) -> list[list[int]]:
     """Vertex indices consumed per output, in walk order.
 
-    A list view of `walk_keys` over all times: entry t-1 holds the indices
-    whose noise terms form the estimate at time t.  Input-independent.
+    Entry t-1 holds the indices whose noise terms form the estimate at time
+    t: `Mechanism.ledger_keys()` after step t.  Input-independent, so the
+    steps feed zeros and draw no noise.
     """
-    keys, mask = walk_keys(config, _all_times(config))
-    flat = iter(keys[mask].tolist())
-    return [list(itertools.islice(flat, n)) for n in mask.sum(axis=1).tolist()]
+    mech = Mechanism(replace(config, zero_noise=True))
+    keys = []
+    for _ in range(config.T):
+        mech.feed(0)
+        keys.append(mech.ledger_keys())
+    return keys
 
 
 class TreeOracle:
@@ -563,56 +530,73 @@ def run_oracle(bits, config: MechanismConfig) -> list[float]:
 class BatchRunner:
     """Vectorized repeated runs of a fixed configuration at chosen times.
 
-    The keys of the requested outputs are walked once (`walk_keys`).  A
-    vertex key fixes its level, its sign and its slot in the level's walk,
-    so the level sum that ends at a vertex is the same in every output that
-    walks to it.  The runner therefore stores, per output and level, only
-    the index of the last vertex walked there (an index into the sorted
-    unique keys; an empty level points one past the last key, at a sentinel
-    draw of 0.0), and per vertex the index of the one walked before it.
+    The keys of the requested outputs come from the digit runs of their
+    times (`_runs`), each key once.  A vertex key fixes its level, its sign
+    and its slot in the level's walk, so the level sum that ends at a vertex
+    is the same in every output that walks to it.  The runner therefore
+    stores, per output and level, only the index of the last vertex walked
+    there (an index into the sorted unique keys; an empty level points one
+    past the last key, at a sentinel draw of 0.0), and per vertex the index
+    of the one walked before it.
 
     `noise` draws the unique keys under each of its seeds, turns the draws
     into the running level sums along those chains, and adds the level sums
     of each output from level h-1 down to 0: the canonical order of the
     module docstring, so a run equals `feed` under the same seed bit for
     bit, and so does each seed's column of a batch of seeds.
-    Memory is O(len(times) * h) indices, after a walk of O(len(times) * h * m),
-    which `check_walk_budget` bounds before it starts.
+    Memory is O(len(times) * h) indices plus the runs and the keys, which
+    `check_plan_budget` bounds before anything is allocated.
     """
 
     def __init__(self, config: MechanismConfig, times=None):
         self.config = config
-        check_int64(config)
-        if times is not None:
-            times = np.asarray(times, dtype=np.int64)
-        check_walk_budget(config, config.T if times is None else len(times))
-        self.times = _all_times(config) if times is None else times
-        if not len(self.times):
-            raise ValueError("times must not be empty")
-        keys, mask = walk_keys(config, self.times)
-        self.keys = np.unique(keys[mask])
-        sentinel = len(self.keys)
-        rows, h = len(self.times), config.height
-        pos = np.full(keys.shape, sentinel, dtype=np.intp)
-        pos[mask] = np.searchsorted(self.keys, keys[mask])
-        m = keys.shape[1] // h
-        pos, mask = pos.reshape(rows, h, m), mask.reshape(rows, h, m)
-        # index[l, r]: last vertex of output r at the l-th level in walk
-        # order; levels no output uses add 0.0 everywhere and are dropped
-        weight = mask.sum(axis=2)
-        last = np.take_along_axis(pos, np.maximum(weight - 1, 0)[:, :, None], axis=2)[:, :, 0]
-        last[weight == 0] = sentinel
-        self.index = np.ascontiguousarray(last.T[(weight > 0).any(axis=0)])
-        # (vertices in slot j, the vertices walked just before them), j >= 1
-        self._chain = []
-        for j in range(1, m):
-            walked = mask[:, :, j]
-            child, first = np.unique(pos[:, :, j][walked], return_index=True)
-            if len(child):
-                self._chain.append((child, pos[:, :, j - 1][walked][first]))
+        if times is None:
+            check_int64(config)
+            check_plan_budget(config, config.T, config.T - 1)
+            times = np.arange(1, config.T + 1, dtype=np.int64)
+        else:
+            times = _check_times(config, times)
+            if not len(times):
+                raise ValueError("times must not be empty")
+            check_plan_budget(config, len(times), int(times.max() - times.min()))
+        self.times = times
         # true counts are block sums of the input between consecutive times
-        self._ends, self._rows = np.unique(self.times, return_inverse=True)
+        self._ends, self._rows = np.unique(times, return_inverse=True)
         self._starts = np.concatenate(([0], self._ends[:-1]))
+        shifts = _shifts(config)
+        off, _, row, plevel, d, base = _runs(config, shifts, self._ends)
+        step = shifts[1][plevel - 1]
+        # a row's children are consecutive runs with nondecreasing digits: it
+        # walks base - j*k^l for j = 1..down, then base + j*k^l for j = 1..up
+        first = np.diff(row, prepend=-1) != 0
+        down = np.maximum(-d[first], 0)
+        up = np.maximum(d[np.append(first[1:], True)], 0)
+        width = up + down
+        owner = np.repeat(np.arange(len(width)), width)
+        j = np.arange(len(owner)) - np.repeat(np.cumsum(width) - up, width)
+        j += j >= 0
+        keys = base[owner] + j * step[owner]
+        self.keys = np.sort(keys)
+        # (vertices in slot s, the vertices walked just before them), s >= 2
+        prev = keys - np.sign(j) * step[owner]
+        np.abs(j, out=j)
+        self._chain = [(np.searchsorted(self.keys, keys[j == s]),
+                        np.searchsorted(self.keys, prev[j == s])) for s in range(2, j.max() + 1)]
+        del first, owner, j, keys, prev  # freed before the index, for the plan's peak memory
+        # index[l, r]: last vertex of output r at the l-th level in walk
+        # order, or one past the last key for a digit of 0; levels no output
+        # uses add 0.0 everywhere and are dropped
+        sentinel = len(self.keys)
+        last = np.where(d != 0, np.searchsorted(self.keys, base[row] + d * step[row]), sentinel)
+        h = config.height
+        index = np.empty((h, len(times)), dtype=np.intp)
+        run = np.arange(len(self._ends))  # the level-0 runs are the distinct times
+        for lvl in range(h):
+            index[h - 1 - lvl] = last[run][self._rows]
+            run = off[1] + row[run]
+        used = (index != sentinel).any(axis=1)
+        self.index = index if used.all() else index[used]
+        self._buffers = None
 
     def seeds_per_block(self) -> int:
         """Seeds per `noise` call that keep its arrays within `TRIAL_BLOCK_ELEMENTS`."""
@@ -624,19 +608,26 @@ class BatchRunner:
         `seeds` is one seed or an array of them; the result has shape
         (len(times),) + shape of `seeds`.  Every key is drawn under every
         seed in one `vertex_laplace` call, with a sentinel row of 0.0 after
-        the keys for the levels an output leaves empty.
+        the keys for the levels an output leaves empty.  The arrays are kept
+        from call to call while the shape of `seeds` stays the same, so the
+        next such call overwrites the result.
         """
         seeds = np.asarray(seeds, dtype=np.uint64)
-        z = np.zeros((len(self.keys) + 1, *seeds.shape))
-        z[:-1] = vertex_laplace(self.config.scale, seeds,
-                                self.keys.reshape(-1, *(1,) * seeds.ndim))
+        if self._buffers is None or self._buffers[2].shape[1:] != seeds.shape:
+            z = np.empty((len(self.keys) + 1, *seeds.shape))
+            z[-1] = 0.0
+            noise = np.empty((self.index.shape[1], *seeds.shape))
+            self._buffers = z, np.empty(z[:-1].shape, np.uint64), noise, np.empty_like(noise)
+        z, work, noise, term = self._buffers
+        vertex_laplace(self.config.scale, seeds, self.keys.reshape(-1, *(1,) * seeds.ndim),
+                       out=z[:-1], work=work)
         # running level sums, slot by slot: 0.0 + z1, then (0.0 + z1) + z2, ...
         for child, parent in self._chain:
             z[child] += z[parent]
-        noise = np.take(z, self.index[0], axis=0)  # 0.0 plus the top level
-        term = np.empty_like(noise)
+        # every index is in range, and mode="raise" would copy through a buffer
+        np.take(z, self.index[0], axis=0, out=noise, mode="clip")  # 0.0 plus the top level
         for idx in self.index[1:]:
-            noise += np.take(z, idx, axis=0, out=term)
+            noise += np.take(z, idx, axis=0, out=term, mode="clip")
         return noise
 
     def run(self, bits, seed: int) -> np.ndarray:

@@ -83,11 +83,14 @@ def vertex_uniform(seed, index):
     """
     if isinstance(seed, int) and isinstance(index, int):
         return _uniform_int(seed, index)
-    return _scalar_or_array(_uniform_array(seed, index))
+    return _scalar_or_array(_uniform_array(seed, index)[0])
 
 
-def _uniform_array(seed, index) -> np.ndarray:
-    """`vertex_uniform` as a new array (0-d for scalars), built in place."""
+def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """`vertex_uniform` as an array (0-d for scalars), and its spent uint64 hash.
+
+    The hash is built in `work` and the uniform in `out`, if they are given.
+    """
     # array arithmetic wraps silently; only numpy scalars warn on overflow
     if isinstance(seed, int):
         if not 0 <= seed <= _M64:
@@ -96,15 +99,14 @@ def _uniform_array(seed, index) -> np.ndarray:
     else:
         s = _mix64(np.array(seed, dtype=np.uint64))
     index = np.asarray(index, dtype=np.uint64)
-    h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64)
+    h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64) if work is None else work
     np.multiply(index, _C1, out=h)
     h ^= s
     _mix64(h)
     h >>= _U64(11)
-    u = h.astype(np.float64)
-    u += 0.5
+    u = np.add(h, 0.5, out=out, dtype=np.float64)
     u *= 2.0**-53
-    return u
+    return u, h
 
 
 def _scalar_or_array(a: np.ndarray):
@@ -117,12 +119,13 @@ def _scalar_or_array(a: np.ndarray):
 _log1p = np.log1p
 
 
-def vertex_laplace(scale, seed, index):
+def vertex_laplace(scale, seed, index, out=None, work=None):
     """Laplace(0, scale) draw keyed by (seed, index); 0.0 when scale is 0.
 
     Inverse-CDF transform of `vertex_uniform`, so the value never depends
     on how many other vertices have been materialized, nor on whether it is
-    drawn alone or in an array.
+    drawn alone or in an array.  An array draw goes into `out`, a float64
+    array of its shape, with `work`, a uint64 one, as scratch, if given.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
@@ -131,12 +134,13 @@ def vertex_laplace(scale, seed, index):
             return 0.0
         v = _uniform_int(seed, index) - 0.5
         return -scale * math.copysign(1.0, v) * float(_log1p(-2.0 * abs(v)))
-    v = _uniform_array(seed, index)
+    v, h = _uniform_array(seed, index, out, work)
     if scale == 0.0:
-        return np.zeros_like(v)
-    # -scale * sign(v) * log1p(-2|v|) with v = u - 0.5, in two arrays
+        v.fill(0.0)
+        return _scalar_or_array(v)
+    # -scale * sign(v) * log1p(-2|v|) with v = u - 0.5, in v and the hash's memory
     v -= 0.5
-    a = np.abs(v, out=np.empty_like(v))
+    a = np.abs(v, out=h.view(np.float64))
     a *= -2.0
     _log1p(a, out=a)
     np.sign(v, out=v)

@@ -251,6 +251,16 @@ def test_lowerbound_rejects_bad_shape(monkeypatch, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("trials", ["0", str(2**62 + 1), str(2**63)])
+def test_lowerbound_out_of_range_trials_are_blamed(trials, monkeypatch, capsys):
+    # 2^63 trials once gave "seed must be an integer in [0, 2^64 - 4*trials]"
+    code, out, err = run_cli(["lowerbound", "--T", "256", "--k", "2", "--trials", trials],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err == f"usage error: trials must be in [1, 2^62], got {trials}\n"
+    assert out == ""
+
+
 def test_output_file(tmp_path, monkeypatch, capsys):
     out_path = tmp_path / "rows.csv"
     code, _, _ = run_cli(
@@ -591,9 +601,9 @@ def test_bench_height_past_int64_is_usage_error():
     assert result.stdout == ""
 
 
-def test_bench_over_the_walk_budget_is_refused_before_allocating():
-    # T = 23,522,940 outputs at k=19, h=6: the key walk would take 21.6 GB;
-    # the budget refuses it before even the 188 MB array of times exists
+def test_bench_over_the_plan_budget_is_refused_before_allocating():
+    # T = 23,522,940 outputs at k=19, h=6: the plan would take 4.2 GB; the
+    # budget refuses it before even the 188 MB array of times exists
     cap = 3_000_000 * 1024
 
     def limit_child():
@@ -605,26 +615,29 @@ def test_bench_over_the_walk_budget_is_refused_before_allocating():
         capture_output=True, text=True, timeout=60, preexec_fn=limit_child, env=ENV,
     )
     assert result.returncode == 1
-    assert result.stderr.startswith("usage error: the key walk of 23522940 outputs")
-    assert f"budget of {mechanisms.WALK_BYTES_MAX} bytes" in result.stderr
+    assert result.stderr.startswith("usage error: the plan of 23522940 outputs")
+    assert f"budget of {mechanisms.PLAN_BYTES_MAX} bytes" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
 
-def test_walk_budget_admits_the_benchmarked_sizes():
-    # the largest walks tier-1 and the benchmark run: bench --k 19 --h 4,
+def test_plan_budget_admits_the_benchmarked_sizes():
+    # the largest plans tier-1 and the benchmark run: bench --k 19 --h 5,
     # the benchmark's bench and its lowerbound at T = 102,400 (320 block ends)
-    bench = MechanismConfig(cli._VARIANTS["offset-odd"], 19, 65160, 1.0)
+    big = MechanismConfig(cli._VARIANTS["offset-odd"], 19, 1_238_049, 1.0)
     even = MechanismConfig(cli._VARIANTS["offset-even"], 20, 4210, 1.0)
     packing = MechanismConfig(cli._VARIANTS["offset-odd"], 3, 102_400, 1.0)
-    for cfg, rows in ((bench, 65160), (even, 4210), (packing, 320)):
-        mechanisms.check_walk_budget(cfg, rows)
+    for cfg, rows, span in ((big, 1_238_049, 1_238_048), (even, 4210, 4209),
+                            (packing, 320, 102_400 - 320)):
+        mechanisms.check_plan_budget(cfg, rows, span)
     with pytest.raises(ValueError, match="budget"):
-        mechanisms.check_walk_budget(bench, 20 * 65160)
+        h6 = MechanismConfig(cli._VARIANTS["offset-odd"], 19, 23_522_940, 1.0)
+        mechanisms.check_plan_budget(h6, 23_522_940, 23_522_939)
 
 
 def test_bench_k19_h4_memory(monkeypatch, capsys):
-    # T = 65,160 outputs: a dense outputs x vertices float64 matrix would be 31.6 GiB
+    # T = 65,160 outputs: a dense outputs x vertices float64 matrix would be
+    # 31.6 GiB; the plan and the trials' arrays take about 9 MiB
     tracemalloc.start()
     try:
         code, out, _ = run_cli(
@@ -637,7 +650,19 @@ def test_bench_k19_h4_memory(monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert out.splitlines()[-1].startswith("offset-odd,19,4,65160,1,20,")
-    assert peak <= 200 * 2**20
+    assert peak <= 16 * 2**20
+
+
+def test_bench_k19_h5_runs():
+    # the paper's arity at T = 1,238,049, refused while the batch path walked
+    # every digit slot of every output
+    result = subprocess.run(
+        [sys.executable, "-m", "karycount.cli", "bench", "--variant", "offset-odd",
+         "--k", "19", "--h", "5", "--trials", "2"],
+        capture_output=True, text=True, timeout=120, env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith("offset-odd,19,5,1238049,1,2,")
 
 
 def test_lowerbound_out_of_memory_is_usage_error():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from karycount import mechanisms
 from karycount.analysis import natural_max_T
-from karycount.digits import DigitSystem, digit_bounds, encode, max_value, weight
+from karycount.digits import DigitSystem, encode, max_value, weight
 from karycount.lowerbound import LowerBoundConfig
 from karycount.mechanisms import (
     BatchRunner,
@@ -21,7 +21,6 @@ from karycount.mechanisms import (
     output_keys,
     run_oracle,
     sensitivity_audit,
-    walk_keys,
 )
 from karycount.noise import vertex_laplace
 
@@ -39,15 +38,19 @@ def _random_bits(T, seed):
     return np.random.default_rng(seed).integers(0, 2, size=T).tolist()
 
 
-def output_keys_at(cfg: MechanismConfig, t: int) -> list[int]:
-    """The walk of one time step, written out with `digits.encode`."""
+def walk_at(cfg: MechanismConfig, t: int):
+    """(level, previous position, key) of each vertex of t's walk, written out with `digits.encode`."""
     digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
-    p, keys = 0, []
+    p = 0
     for lvl in range(cfg.height - 1, -1, -1):
         for _ in range(abs(digits[lvl])):
-            p += cfg.k**lvl if digits[lvl] > 0 else -(cfg.k**lvl)
-            keys.append(p)
-    return keys
+            prev, p = p, p + (cfg.k**lvl if digits[lvl] > 0 else -(cfg.k**lvl))
+            yield lvl, prev, p
+
+
+def output_keys_at(cfg: MechanismConfig, t: int) -> list[int]:
+    """The keys of one time step's walk, in walk order."""
+    return [p for _, _, p in walk_at(cfg, t)]
 
 
 def test_config_heights():
@@ -381,6 +384,11 @@ def test_batch_runner_unsorted_duplicate_times():
     ]
     with pytest.raises(ValueError, match="empty"):
         BatchRunner(cfg, times=[])
+    for times in ([0], [T + 1], [[1, 2]]):
+        with pytest.raises(ValueError):
+            BatchRunner(cfg, times=times)
+    with pytest.raises(OverflowError, match="int64"):
+        BatchRunner(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), times=[1])
 
 
 def test_batch_runner_builds_at_a_trillion():
@@ -393,18 +401,7 @@ def test_batch_runner_builds_at_a_trillion():
     assert runner.index.shape[1] == 1
 
 
-def test_walk_keys_bounds():
-    cfg = MechanismConfig(DigitSystem.PLAIN, 3, 100, 1.0)
-    for times in ([0], [101], [[1, 2]]):
-        with pytest.raises(ValueError):
-            walk_keys(cfg, times)
-    keys, mask = walk_keys(cfg, [])
-    assert keys.shape == mask.shape == (0, cfg.height * 2)
-    with pytest.raises(OverflowError, match="int64"):
-        walk_keys(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), [1])
-
-
-# small arities of every variant; at h = 6 the largest T is 58,824 (offset-odd k=7)
+# small arities of every variant
 WALK_CASES = [
     (DigitSystem.PLAIN, 2),
     (DigitSystem.PLAIN, 3),
@@ -427,48 +424,40 @@ def walk_config(case, h: int, data) -> MechanismConfig:
     return cfg
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(WALK_CASES), st.integers(1, 6), st.data())
-def test_walk_keys_rows_are_the_ledger(case, h, data):
+def test_batch_runner_keys_are_the_walked_keys_any_times(case, h, data):
+    # the plan holds each key of the requested outputs once, and no other
     cfg = walk_config(case, h, data)
-    keys, mask = walk_keys(cfg, np.arange(1, cfg.T + 1))
-    mech = Mechanism(cfg)
-    for t in range(1, cfg.T + 1):
-        mech.feed(0)
-        assert mech.ledger_keys() == keys[t - 1][mask[t - 1]].tolist()
+    times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=50), label="times")
+    runner = BatchRunner(cfg, times)
+    walked = set().union(*(output_keys_at(cfg, t) for t in times))
+    assert runner.keys.tolist() == sorted(walked)
+    assert runner.index.shape[1] == len(times)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(WALK_CASES), st.integers(1, 6), st.data())
-def test_walk_keys_row_weight_any_times(case, h, data):
-    cfg = walk_config(case, h, data)
-    times = data.draw(st.lists(st.integers(1, cfg.T), max_size=50), label="times")
-    keys, mask = walk_keys(cfg, times)
-    lo, hi = digit_bounds(cfg.variant, cfg.k)
-    assert keys.shape == mask.shape == (len(times), h * max(hi, -lo))
-    assert not keys[~mask].any()
-    for row, t in enumerate(times):
-        assert mask[row].sum() == weight(encode(t, cfg.k, h, cfg.variant))
-        assert keys[row][mask[row]].tolist() == output_keys_at(cfg, t)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(WALK_CASES), st.integers(1, 6))
-def test_each_key_is_one_vertex(case, h):
-    # over every output of the full tree, a key always stands for the same
-    # level and the same interval: the walk's step from the previous position
+@given(st.sampled_from(WALK_CASES), st.integers(1, 12), st.data())
+def test_each_key_is_one_vertex(case, h, data):
+    # over the outputs of a full tree, every output when it has at most
+    # 2,000 and a sample of them past that, a key always stands for the same
+    # level and the same interval: the walk's step from the previous
+    # position.  The plan's keys are those vertices, and `output_keys` walks
+    # them as the digits do.
     variant, k = case
-    cfg = MechanismConfig(variant, k, max_value(variant, k, h), 1.0)
-    keys, mask = walk_keys(cfg, np.arange(1, cfg.T + 1))
-    rows, cols = np.nonzero(mask)
-    p = keys[rows, cols]
-    level = h - 1 - cols // (keys.shape[1] // h)
-    start = np.concatenate(([True], rows[1:] != rows[:-1]))
-    prev = np.where(start, 0, np.concatenate(([0], p[:-1])))
-    lo, hi = np.minimum(prev, p), np.maximum(prev, p)
-    assert np.array_equal(hi - lo, k ** level)
-    vertices = np.unique(np.stack([p, level, lo]), axis=1)
-    assert vertices.shape[1] == len(np.unique(p))
+    cfg = MechanismConfig(variant, k, max_value(variant, k, h), 1.0, zero_noise=True)
+    if cfg.T <= 2000:
+        times = list(range(1, cfg.T + 1))
+        keys = output_keys(cfg)
+        assert all(keys[t - 1] == output_keys_at(cfg, t) for t in times)
+    else:
+        times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=300),
+                          label="times")
+    vertex = {}
+    for t in times:
+        for lvl, prev, p in walk_at(cfg, t):
+            assert vertex.setdefault(p, (lvl, min(prev, p))) == (lvl, min(prev, p))
+    assert BatchRunner(cfg, times).keys.tolist() == sorted(vertex)
 
 
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
@@ -476,12 +465,12 @@ def test_ledger_tracks_current_keys(variant, k):
     # the lazy ledger holds exactly the vertices of the current output's walk
     T = 150
     cfg = MechanismConfig(variant, k, T, 1.0, zero_noise=True)
-    keysets = output_keys(cfg)
     mech = Mechanism(cfg)
     for t in range(1, T + 1):
         mech.feed(1 if t % 2 else 0)
-        assert mech.ledger_keys() == keysets[t - 1]
-        assert mech.ledger_size == len(keysets[t - 1])
+        keys = output_keys_at(cfg, t)
+        assert mech.ledger_keys() == keys
+        assert mech.ledger_size == len(keys)
 
 
 def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int]) -> float:
