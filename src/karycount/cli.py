@@ -34,8 +34,10 @@ EXIT_PIPE = 141
 READ_BYTES = 1 << 13
 #: Rows of one block of the release, at every height: `BlockNoise` works on
 #: the block's digit runs, about rows * k/(k - 1) + h of them, so a block's
-#: work and memory do not grow with h.
-BLOCK_ROWS = 1 << 11
+#: work and memory do not grow with h.  A read of `READ_BYTES` holds about
+#: this many bits ("0\n" each), so it is one block, and a block's fixed cost
+#: (a plan of some 60 numpy calls) is spread over as many rows as one read has.
+BLOCK_ROWS = 1 << 12
 
 _VARIANTS = {
     "plain": DigitSystem.PLAIN,

@@ -6,7 +6,8 @@ vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the batch `TreeOracle`, which
 walks an explicit tree of subtree sums, is bit-identical to it under the
 same seed, as are the vectorized `BlockNoise` (`karycount run`) and
-`BatchRunner` (`bench`, `lowerbound`), which share one digit walk, `_runs`.
+`BatchRunner` (`bench`, `lowerbound`), which build one `_Plan` of the
+requested times and evaluate it, under one seed or under many.
 That pointwise equality is deliberately stronger than the distributional
 equivalence it mirrors and is what the equivalence tests pin down.
 
@@ -35,18 +36,18 @@ import numpy as np
 from .digits import DigitSystem, digit_bounds, encode, max_value
 from .noise import check_scale, vertex_laplace
 
-#: Elements of one (keys + 1) x seeds or outputs x seeds array of
-#: `BatchRunner.noise`: batch callers draw their trials in blocks of
-#: `BatchRunner.seeds_per_block()` seeds, 512 KiB of float64, which bounds
+#: Elements of the (keys + 1) x seeds draws or of the outputs x seeds result
+#: of `BatchRunner.noise`, whichever is larger (its runs, about k/(k - 1)
+#: times the outputs, a few more): batch callers draw their trials in blocks
+#: of `BatchRunner.seeds_per_block()` seeds, 512 KiB of float64, which bounds
 #: the memory they hold and keeps each array in a core's cache.
 TRIAL_BLOCK_ELEMENTS = 1 << 16
 
-#: Bytes the plan of a `BatchRunner` may take: 8 per output and level for
-#: its index, and 64 per digit run and per vertex key while it is built,
-#: counted for the most runs and keys the requested times can have.  A
-#: larger plan is refused before anything is allocated.  1 GiB holds the
-#: plan of `bench --variant offset-odd --k 19 --h 5` (T = 1,238,049, 212 MB)
-#: but not that of `--h 6` (4.2 GB).
+#: Bytes the plan of a `BatchRunner` may take: 64 per digit run and per
+#: vertex key while it is built, counted for the most runs and keys the
+#: requested times can have.  A larger plan is refused before anything is
+#: allocated.  1 GiB holds the plan of `bench --variant offset-odd --k 19
+#: --h 5` (T = 1,238,049, 163 MB) but not that of `--h 6` (3.1 GB).
 PLAN_BYTES_MAX = 1 << 30
 
 _INT64_MAX = 2**63 - 1
@@ -239,7 +240,7 @@ def check_plan_budget(config: MechanismConfig, rows: int, span: int) -> None:
     lo, hi = digit_bounds(config.variant, k)
     runs = [min(rows, span // k**lvl + 2) for lvl in range(h)] + [1]
     keys = sum(min(max(hi, -lo) * runs[lvl], (k - 1) * runs[lvl + 1]) for lvl in range(h))
-    need = 8 * h * rows + 64 * (sum(runs) + keys)
+    need = 64 * (sum(runs) + keys)
     if need > PLAN_BYTES_MAX:
         raise ValueError(
             f"the plan of {rows} outputs at k={k}, h={h} needs {need} bytes "
@@ -248,11 +249,13 @@ def check_plan_budget(config: MechanismConfig, rows: int, span: int) -> None:
 
 
 def _check_times(config: MechanismConfig, times) -> np.ndarray:
-    """`times` as a one-dimensional int64 array in [1, T], after `check_int64`."""
+    """`times`, integers, as a one-dimensional int64 array in [1, T], after `check_int64`."""
     check_int64(config)
-    t = np.asarray(times, dtype=np.int64)
-    if t.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
+    t = np.asarray(times)
+    # a float would be truncated to another time, and a bool read as 0 or 1
+    if t.ndim != 1 or t.size and t.dtype.kind not in "iu":
+        raise ValueError(f"times must be one-dimensional integers, got {t.dtype}, shape {t.shape}")
+    t = t.astype(np.int64, copy=False)
     if len(t) and (t.min() < 1 or t.max() > config.T):
         raise ValueError(f"times must lie in [1, T={config.T}]")
     return t
@@ -319,6 +322,148 @@ def _runs(config: MechanismConfig, shifts, t: np.ndarray):
     return off, split, row, plevel, d, base
 
 
+class _Plan:
+    """A `BlockNoise` call on sorted times t, but for its draws: the same under every seed.
+
+    Built from the digit runs of t (`_runs`) and the state that the last
+    call, whose last time was `last` (0 before the first call), left at
+    each level: the base of its last run, and that run's digit if > 0
+    (else 0), j0.  A run at level l walks base + j*k^l (digit d > 0) or
+    base - j*k^l (d < 0), j = 1..|d|, where base is its parent row's.  A
+    row's digits never decrease, so a row walks at most two lanes: its +
+    side past j0, the carried digit if the row goes on from the state (its
+    base is the carried one), up to its last digit; and the - side of a new
+    base down to its first digit.  Each walked key that no earlier call drew
+    is in one lane, once.
+
+    The running sums along the lanes take one `cumsum` per lane or one add
+    per slot, whichever makes fewer numpy calls, so the lanes, longest
+    first, are laid out lane by lane or slot by slot (slot j of every lane
+    that has one, j = 1, 2, ...).  After them come the carried state, at
+    each level its + sum at j0 and its - sums at j = 1..m (m = -lo, the
+    largest magnitude of a negative digit), and one 0.0, so each run's level
+    sum is one gather: a lane slot, a carried sum, or the 0.0 of a digit of 0.
+    """
+
+    def __init__(self, config: MechanismConfig, shifts, t: np.ndarray, last: int):
+        h, (lo, pows, shift) = config.height, shifts
+        q = (last + shift[0]) // pows  # the last time's digits at every level are those of q
+        base0, j0, m = q[1:] * pows[1:] - shift[1:], np.maximum(q[:-1] % config.k + lo, 0), -lo
+        off, split, row, plevel, d, base = _runs(config, shifts, t)
+        n, rows = len(d), len(base)
+        self.off, self.split, self.row = off, split, row
+        top = row[off[:h]]  # the first row of each level, at level l + 1
+        goes_on = base[top] == base0
+        first = np.concatenate(([True], row[1:] != row[:-1]))
+        low, high = d[first], d[np.append(first[1:], True)]  # each row's first and last digit
+        jrow = np.zeros(rows, dtype=np.int64)
+        jrow[top] = j0 * goes_on
+        new = low < 0
+        new[top] &= ~goes_on
+        onto = goes_on & (j0 > 0) & (high[top] > j0)  # the levels whose + side goes on from j0
+        # lane i < rows is row i's + side and lane rows + i its - side
+        length = np.concatenate((np.maximum(high - jrow, 0), np.where(new, -low, 0)))
+        order = np.argsort(-length, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        sizes = length[order[: np.count_nonzero(length)]]
+        nkeys, width = int(sizes.sum()), int(sizes.max(initial=0))
+        self.size = nkeys + h * (m + 1) + 1  # lanes, carried state and the 0.0
+        lane_major = len(sizes) < width - 1
+        # lane by lane, slot j of the lane ranked r is at start[r] + j - 1; slot
+        # by slot, at slot[j] + r
+        start = np.cumsum(sizes) - sizes
+        slots = 0 if lane_major else width
+        slot = np.zeros(slots + 2, dtype=np.int64)
+        np.cumsum(np.searchsorted(-sizes, -np.arange(1, slots + 1), side="right"), out=slot[2:])
+
+        def at(r, j, out=None):
+            """Index of slot j of the lane ranked r (any index if it has no slot j)."""
+            table, i, add = (start - 1, r, j) if lane_major else (slot, j, r)
+            return np.add(np.take(table, i, mode="clip", out=out), add, out=out)
+
+        # the state left: each level's last run, its row and, if the row's
+        # base is new, the - side running sums it drew
+        final = np.array(off[1 : h + 1]) - 1
+        last_row = row[final]
+        down = np.where(new[last_row], -low[last_row], 0)[:, None]
+        j = np.arange(m + 1)
+        keep = np.where(down > 0, at(rank[last_row + rows, None], np.minimum(j, down)),
+                        nkeys + np.arange(h)[:, None] * (m + 1) + j)
+        # the keys, each at at(its lane's rank, its slot)
+        lane = np.repeat(order[: len(sizes)], sizes)
+        del first, high, length, low, order  # these dels free arrays early, for the peak memory
+        j = np.arange(nkeys) - np.repeat(start, sizes) + 1
+        at_key = at(rank[lane], j)
+        plus, lane = lane < rows, lane % rows
+        j = np.where(plus, j + jrow[lane], -j)
+        j *= pows[plevel[lane] - 1]
+        j += base[lane]
+        self.keys = np.empty(nkeys, dtype=np.uint64)
+        self.keys[at_key] = j
+        del lane, j, at_key, plus, base
+        # each run's level sum: slot c of its lane, a carried + or - sum, or the 0.0
+        plus = d > 0
+        c = np.negative(d)
+        np.subtract(d, jrow[row], out=c, where=plus)
+        lane = np.where(plus, row, row + rows)
+        self.gather = np.empty(n + 1, dtype=np.int64)
+        at(np.take(rank, lane, out=lane, mode="clip"), c, out=self.gather[:n])
+        # only some runs of a row that goes on read the state: j <= j0, or d < 0
+        runs = np.flatnonzero(((c <= 0) | ~(plus | new[row])) & (d != 0))
+        del c, lane, plus, jrow
+        self.gather[np.append(d == 0, True)] = self.size - 1  # and the root
+        self.gather[runs] = nkeys + (plevel[row[runs]] - 1) * (m + 1) + np.maximum(-d[runs], 0)
+        keep[:, 0] = np.where(d[final] > 0, self.gather[final], self.size - 1)
+        self.keep = np.append(keep, self.size - 1)
+        self.onto, self.carried = at(rank[top[onto]], 1), nkeys + np.flatnonzero(onto) * (m + 1)
+        # slot j + 1 of the lanes that have it, their slot j, and their number, j = 1..slots - 1
+        self.slots = list(zip(slot[2:-1].tolist(), slot[1:-2].tolist(), np.diff(slot[2:]).tolist()))
+        self.lanes = list(zip(start.tolist(), (start + sizes).tolist())) if lane_major else []
+        self.arrays = None
+
+    def evaluate(self, scale: float, seeds, carry) -> np.ndarray:
+        """The noise of each run, then 0.0 for the root, under each of `seeds`.
+
+        `seeds` is one seed or an array of them, and the result has shape
+        (runs + 1,) + shape of `seeds`; `carry` holds the values of the
+        carried state and the 0.0 (the last plan's `keep` of its `arrays`),
+        or is 0.0 for a fresh state.  One `vertex_laplace` call draws the
+        keys under every seed, the lanes' running sums and one gather give
+        each run its level sum, and the noise of a run at level l is that of
+        its parent run plus its level sum, from level h-1 down to 0 starting
+        at 0.0: `feed`'s recursion, the canonical order.  The arrays, values
+        first, are kept from call to call while the shape of `seeds` stays,
+        so the next such call overwrites the result.
+        """
+        shape = np.shape(seeds)
+        nkeys, lanes = len(self.keys), (1,) * len(shape)
+        if self.arrays is None or self.arrays[0].shape[1:] != shape:
+            sizes = self.size, len(self.gather), self.off[1]
+            self.arrays = [np.empty((size, *shape)) for size in sizes]
+            self.arrays.append(np.empty((nkeys, *shape), dtype=np.uint64))
+        z, acc, part, work = self.arrays
+        vertex_laplace(scale, seeds, self.keys.reshape(-1, *lanes), out=z[:nkeys], work=work)
+        z[nkeys:] = np.reshape(carry, (-1, *lanes))
+        z[self.onto] += z[self.carried]
+        for to, prev, count in self.slots:  # running sums: one add per slot of every lane
+            z[to : to + count] += z[prev : prev + count]
+        for start, stop in self.lanes:  # or one cumsum per lane
+            np.cumsum(z[start:stop], axis=0, out=z[start:stop])
+        # every index is in range, and mode="raise" would copy through a buffer
+        np.take(z, self.gather, axis=0, out=acc, mode="clip")
+        # the single runs of levels h-1..split in one sequential cumsum from
+        # the root's 0.0, then level by level onto the parents
+        chain = acc[self.off[self.split] :][::-1]
+        np.cumsum(chain, axis=0, out=chain)
+        above = acc[self.off[1] :]
+        for lvl in range(self.split - 1, -1, -1):
+            runs = slice(self.off[lvl], self.off[lvl + 1])
+            acc[runs] += np.take(above, self.row[runs], axis=0, out=part[: runs.stop - runs.start],
+                                 mode="clip")
+        return acc
+
+
 class BlockNoise:
     """Noise of the outputs at sorted times, call after call, equal to `feed`'s bit for bit.
 
@@ -330,41 +475,20 @@ class BlockNoise:
     level above it, and their q_l come from one broadcast.  The work of a
     call over r consecutive times is O(r*k/(k-1) + h), not O(r*h).
 
-    At level l a run walks the vertices base + j*k^l (digit d > 0) or
-    base - j*k^l (d < 0), j = 1..|d|, where base, the value of the digits
-    above level l, is a multiple of k^(l+1) that never decreases over sorted
-    times, and the digit never decreases while the base stays.  The runs of
-    all levels are laid end to end; a run's base is that of its parent run
-    at level l+1, so the parent runs (and, above level h-1, the root) are
-    the rows of one grid.  A level's top row goes on from the state the
-    level was left in by the last call (at first: base 0, digit 0) if its
-    base is the same: its + side starts from the carried running sum at j0,
-    the carried digit, so only the keys past j0 are drawn.  The - side of a
-    base is drawn once, by the call that meets the base first, as wide as
-    its first digit; later calls read its running sums from the carried
-    state.  So over a stream of calls each key is drawn once, as `feed`
-    draws it, plus the padding of each call's grid to its widest row, and
-    the cost of a call does not grow with t, however wide the tree.  One
-    `vertex_laplace` call draws both sides of every row, `cumsum` gives the
-    running sums, and one gather gives each run its level sum.  The noise
-    of a run at level l is acc_l = acc_(l+1)[parent run] + its level sum,
-    from level h-1 down to 0 starting at 0.0: `feed`'s recursion, the
-    canonical order.  No key is sorted or searched.
+    A call is a `_Plan` of its times from the state the last call left,
+    evaluated under the config's seed.  Each level carries its base, its
+    digit and its running sums from call to call, so a call draws only the
+    walked keys that no earlier call drew: over a stream of calls each key
+    is drawn once, as `feed` draws it, and the cost of a call does not grow
+    with t, however wide the tree.  No key is sorted or searched.
     """
 
     def __init__(self, config: MechanismConfig):
         check_int64(config)
-        h = config.height
         self.config = config
         self._shifts = _shifts(config)
-        self._pows = self._shifts[1]
         self._last = 0
-        self._base = np.zeros(h, dtype=np.int64)
-        self._j = np.zeros(h, dtype=np.int64)  # the digit, or 0 if it is <= 0
-        # running sum of the + side at j (0.0 if j is 0), and of the - side
-        # of the base at j = 0, 1, ... (j = 0 holds 0.0)
-        self._sum = np.zeros(h)
-        self._neg = np.zeros((h, 1))
+        self._carry = 0.0
 
     def __call__(self, times) -> np.ndarray:
         t = _check_times(self.config, times)
@@ -372,85 +496,11 @@ class BlockNoise:
             return np.zeros(0)
         if t[0] < self._last or (t[1:] < t[:-1]).any():
             raise ValueError("times must be sorted, and not before those of the last call")
-        off, split, row, plevel, d, base = _runs(self.config, self._shifts, t)
-        acc = self._level_sums(off, row, plevel, d, base)
+        plan = _Plan(self.config, self._shifts, t, self._last)
+        acc = plan.evaluate(self.config.scale, self.config.seed, self._carry)
+        self._carry = plan.arrays[0][plan.keep]
         self._last = int(t[-1])
-        # the noise of each run, from the root down, as `feed` adds it: the
-        # single runs of levels h-1..split in one sequential cumsum from the
-        # root's 0.0, then level by level onto the parents
-        chain = acc[off[split] :][::-1]
-        chain.cumsum(out=chain)
-        above = acc[off[1] :]
-        for lvl in range(split - 1, -1, -1):
-            runs = slice(off[lvl], off[lvl + 1])
-            acc[runs] += above[row[runs]]
         return acc[: len(t)]
-
-    def _level_sums(self, off, row, plevel, d, base) -> np.ndarray:
-        """Each run's level sum, then 0.0 for the root; carries each level's state on.
-
-        A level's top row goes on from the carried state if its base is the
-        carried one: its + side then starts at j0, the carried digit.
-        """
-        h, n, rows = self.config.height, len(d), len(base)
-        top = row[off[:h]]
-        goes_on = base[top] == self._base
-        j0 = np.zeros(rows, dtype=np.int64)
-        j0[top] = self._j * goes_on
-        col = d - j0[row]  # a run's + side column: its digit past j0
-        up = max(0, int(col.max()))
-        starts = np.ones(n, dtype=bool)  # first run of each row
-        np.not_equal(row[1:], row[:-1], out=starts[1:])
-        first = d[starts]
-        new = first < 0  # a new base whose first digit is negative
-        new[top] &= ~goes_on
-        down = -int(first.min(initial=0, where=new))
-        del starts, first  # freed here, not at the return, for the call's peak memory
-        # the grid: + side j0 + c, c = 0..up, then - side j = 0..down; keys
-        # base + (j0 + c)*k^l of every row and base - j*k^l of the new
-        # bases, c, j >= 1.  Keys of slots no run walks may wrap, and their
-        # draws go unread.
-        step = self._pows[plevel - 1]
-        plus = j0[:, None] + np.arange(1, up + 1)
-        plus *= step[:, None]
-        plus += base[:, None]
-        minus = base[new, None] - np.arange(1, down + 1) * step[new, None]
-        z = vertex_laplace(self.config.scale, self.config.seed,
-                           np.concatenate((plus.ravel(), minus.ravel())))
-        width = up + down + 2
-        grid = np.zeros((rows, width))
-        grid[top, 0] = np.where(goes_on, self._sum, 0.0)
-        grid[:, 1 : up + 1] = z[: plus.size].reshape(plus.shape)
-        grid[new, up + 2 :] = z[plus.size :].reshape(minus.shape)
-        del j0, step, plus, minus, z  # likewise
-        grid[:, : up + 1].cumsum(axis=1, out=grid[:, : up + 1])
-        grid[:, up + 1 :].cumsum(axis=1, out=grid[:, up + 1 :])
-        # a digit <= 0 on a row that is not new reads a 0.0 of the - side
-        # (clipped to its last column), and on a carried row then adds the
-        # carried - side
-        np.subtract(up + 1, d, out=col, where=d <= 0)
-        np.minimum(col, width - 1, out=col)
-        acc = np.empty(n + 1)
-        acc[:n] = grid[row, col]
-        acc[n] = 0.0
-        if self._neg.shape[1] > 1:
-            carried = np.zeros(rows, dtype=bool)
-            carried[top] = goes_on
-            old = np.minimum(d, 0)
-            np.negative(old, out=old)
-            old *= carried[row]
-            acc[:n] += self._neg[plevel[row] - 1, old]
-        last = [o - 1 for o in off[1 : h + 1]]
-        last_row = row[last]
-        renew = new[last_row]
-        if renew.any():
-            if self._neg.shape[1] < down + 1:
-                self._neg = np.pad(self._neg, ((0, 0), (0, down + 1 - self._neg.shape[1])))
-            self._neg[renew, : down + 1] = grid[last_row[renew], up + 1 :]
-        self._base = base[last_row]
-        self._j = np.maximum(d[last], 0)
-        self._sum = np.where(self._j > 0, acc[last], 0.0)
-        return acc
 
 
 def output_keys(config: MechanismConfig) -> list[list[int]]:
@@ -530,22 +580,12 @@ def run_oracle(bits, config: MechanismConfig) -> list[float]:
 class BatchRunner:
     """Vectorized repeated runs of a fixed configuration at chosen times.
 
-    The keys of the requested outputs come from the digit runs of their
-    times (`_runs`), each key once.  A vertex key fixes its level, its sign
-    and its slot in the level's walk, so the level sum that ends at a vertex
-    is the same in every output that walks to it.  The runner therefore
-    stores, per output and level, only the index of the last vertex walked
-    there (an index into the sorted unique keys; an empty level points one
-    past the last key, at a sentinel draw of 0.0), and per vertex the index
-    of the one walked before it.
-
-    `noise` draws the unique keys under each of its seeds, turns the draws
-    into the running level sums along those chains, and adds the level sums
-    of each output from level h-1 down to 0: the canonical order of the
-    module docstring, so a run equals `feed` under the same seed bit for
-    bit, and so does each seed's column of a batch of seeds.
-    Memory is O(len(times) * h) indices plus the runs and the keys, which
-    `check_plan_budget` bounds before anything is allocated.
+    The runner is one `_Plan` of the distinct sorted times, built once from
+    a fresh engine state, so its keys are those of the requested outputs,
+    each once, and `noise` evaluates it under a whole array of seeds: each
+    seed's column is the noise a `BlockNoise` call, and so `feed`, gives
+    under that seed, bit for bit.  Memory is the plan, O(runs + keys),
+    which `check_plan_budget` bounds before anything is allocated.
     """
 
     def __init__(self, config: MechanismConfig, times=None):
@@ -563,40 +603,9 @@ class BatchRunner:
         # true counts are block sums of the input between consecutive times
         self._ends, self._rows = np.unique(times, return_inverse=True)
         self._starts = np.concatenate(([0], self._ends[:-1]))
-        shifts = _shifts(config)
-        off, _, row, plevel, d, base = _runs(config, shifts, self._ends)
-        step = shifts[1][plevel - 1]
-        # a row's children are consecutive runs with nondecreasing digits: it
-        # walks base - j*k^l for j = 1..down, then base + j*k^l for j = 1..up
-        first = np.diff(row, prepend=-1) != 0
-        down = np.maximum(-d[first], 0)
-        up = np.maximum(d[np.append(first[1:], True)], 0)
-        width = up + down
-        owner = np.repeat(np.arange(len(width)), width)
-        j = np.arange(len(owner)) - np.repeat(np.cumsum(width) - up, width)
-        j += j >= 0
-        keys = base[owner] + j * step[owner]
-        self.keys = np.sort(keys)
-        # (vertices in slot s, the vertices walked just before them), s >= 2
-        prev = keys - np.sign(j) * step[owner]
-        np.abs(j, out=j)
-        self._chain = [(np.searchsorted(self.keys, keys[j == s]),
-                        np.searchsorted(self.keys, prev[j == s])) for s in range(2, j.max() + 1)]
-        del first, owner, j, keys, prev  # freed before the index, for the plan's peak memory
-        # index[l, r]: last vertex of output r at the l-th level in walk
-        # order, or one past the last key for a digit of 0; levels no output
-        # uses add 0.0 everywhere and are dropped
-        sentinel = len(self.keys)
-        last = np.where(d != 0, np.searchsorted(self.keys, base[row] + d * step[row]), sentinel)
-        h = config.height
-        index = np.empty((h, len(times)), dtype=np.intp)
-        run = np.arange(len(self._ends))  # the level-0 runs are the distinct times
-        for lvl in range(h):
-            index[h - 1 - lvl] = last[run][self._rows]
-            run = off[1] + row[run]
-        used = (index != sentinel).any(axis=1)
-        self.index = index if used.all() else index[used]
-        self._buffers = None
+        self._plan = _Plan(config, _shifts(config), self._ends, 0)
+        self.keys = self._plan.keys
+        self._noise = None
 
     def seeds_per_block(self) -> int:
         """Seeds per `noise` call that keep its arrays within `TRIAL_BLOCK_ELEMENTS`."""
@@ -606,29 +615,16 @@ class BatchRunner:
         """The noise of every output under each of `seeds`, in canonical order.
 
         `seeds` is one seed or an array of them; the result has shape
-        (len(times),) + shape of `seeds`.  Every key is drawn under every
-        seed in one `vertex_laplace` call, with a sentinel row of 0.0 after
-        the keys for the levels an output leaves empty.  The arrays are kept
-        from call to call while the shape of `seeds` stays the same, so the
-        next such call overwrites the result.
+        (len(times),) + shape of `seeds`.  The arrays are kept from call to
+        call while the shape of `seeds` stays the same, so the next such
+        call overwrites the result.
         """
         seeds = np.asarray(seeds, dtype=np.uint64)
-        if self._buffers is None or self._buffers[2].shape[1:] != seeds.shape:
-            z = np.empty((len(self.keys) + 1, *seeds.shape))
-            z[-1] = 0.0
-            noise = np.empty((self.index.shape[1], *seeds.shape))
-            self._buffers = z, np.empty(z[:-1].shape, np.uint64), noise, np.empty_like(noise)
-        z, work, noise, term = self._buffers
-        vertex_laplace(self.config.scale, seeds, self.keys.reshape(-1, *(1,) * seeds.ndim),
-                       out=z[:-1], work=work)
-        # running level sums, slot by slot: 0.0 + z1, then (0.0 + z1) + z2, ...
-        for child, parent in self._chain:
-            z[child] += z[parent]
-        # every index is in range, and mode="raise" would copy through a buffer
-        np.take(z, self.index[0], axis=0, out=noise, mode="clip")  # 0.0 plus the top level
-        for idx in self.index[1:]:
-            noise += np.take(z, idx, axis=0, out=term, mode="clip")
-        return noise
+        if self._noise is None or self._noise.shape[1:] != seeds.shape:
+            self._noise = np.empty((len(self.times), *seeds.shape))
+        # the level-0 runs are the distinct times
+        return np.take(self._plan.evaluate(self.config.scale, seeds, 0.0), self._rows, axis=0,
+                       out=self._noise, mode="clip")
 
     def run(self, bits, seed: int) -> np.ndarray:
         """Estimates at the selected times for one seeded run."""

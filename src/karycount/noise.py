@@ -39,17 +39,18 @@ _C2 = _U64(_K2)
 _C3 = _U64(_K3)
 
 
-def _mix64(z):
+def _mix64(z, scratch=None):
     """splitmix64 finalizer on a uint64 array, in place (wraps mod 2^64); returns z.
 
-    A numpy scalar cannot change in place, so for one the result is a new scalar.
+    The shifts go into `scratch`, a uint64 array of z's shape, if given.  A
+    numpy scalar cannot change in place, so for one the result is a new scalar.
     """
     z += _C1
-    z ^= z >> _U64(30)
+    z ^= np.right_shift(z, _U64(30), out=scratch)
     z *= _C2
-    z ^= z >> _U64(27)
+    z ^= np.right_shift(z, _U64(27), out=scratch)
     z *= _C3
-    z ^= z >> _U64(31)
+    z ^= np.right_shift(z, _U64(31), out=scratch)
     return z
 
 
@@ -89,7 +90,9 @@ def vertex_uniform(seed, index):
 def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
     """`vertex_uniform` as an array (0-d for scalars), and its spent uint64 hash.
 
-    The hash is built in `work` and the uniform in `out`, if they are given.
+    The hash is built in `work` and the uniform in `out`, if they are given;
+    `out` is the hash's scratch until then.  An index array of dtype uint64
+    is not copied.
     """
     # array arithmetic wraps silently; only numpy scalars warn on overflow
     if isinstance(seed, int):
@@ -100,11 +103,18 @@ def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.nda
         s = _mix64(np.array(seed, dtype=np.uint64))
     index = np.asarray(index, dtype=np.uint64)
     h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64) if work is None else work
-    np.multiply(index, _C1, out=h)
-    h ^= s
-    _mix64(h)
+    u = np.empty(h.shape) if out is None else out
+    # the operands are broadcast, and the hash is cast, by assignment, which
+    # takes no buffer, as a ufunc's broadcast or cast would (numpy's 64 KiB);
+    # u is the hash's scratch until it holds the uniform
+    h[...] = index
+    h *= _C1
+    u.view(np.uint64)[...] = s
+    h ^= u.view(np.uint64)
+    _mix64(h, u.view(np.uint64))
     h >>= _U64(11)
-    u = np.add(h, 0.5, out=out, dtype=np.float64)
+    u[...] = h
+    u += 0.5
     u *= 2.0**-53
     return u, h
 

@@ -251,13 +251,24 @@ def test_lowerbound_rejects_bad_shape(monkeypatch, capsys):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("trials", ["0", str(2**62 + 1), str(2**63)])
+@pytest.mark.parametrize("trials", ["0", str(10**7 + 1), str(2**62), str(2**62 + 1), str(2**63)])
 def test_lowerbound_out_of_range_trials_are_blamed(trials, monkeypatch, capsys):
-    # 2^63 trials once gave "seed must be an integer in [0, 2^64 - 4*trials]"
+    # 2^63 trials once gave "seed must be an integer in [0, 2^64 - 4*trials]",
+    # and 2^62 trials once ran for ever
     code, out, err = run_cli(["lowerbound", "--T", "256", "--k", "2", "--trials", trials],
                              monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
-    assert err == f"usage error: trials must be in [1, 2^62], got {trials}\n"
+    assert err == f"usage error: trials must be in [1, 10^7], got {trials}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("k_max", ["65537", str(2**62)])
+def test_analyze_arity_range_past_the_maximum_is_refused(k_max, monkeypatch, capsys):
+    # `analyze constants` scans every arity up to --k-max; 2^62 once ran for ever
+    code, out, err = run_cli(["analyze", "constants", "--k-max", k_max],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err == f"usage error: k_max must be at most 65536, got {k_max}\n"
     assert out == ""
 
 
@@ -602,7 +613,7 @@ def test_bench_height_past_int64_is_usage_error():
 
 
 def test_bench_over_the_plan_budget_is_refused_before_allocating():
-    # T = 23,522,940 outputs at k=19, h=6: the plan would take 4.2 GB; the
+    # T = 23,522,940 outputs at k=19, h=6: the plan would take 3.1 GB; the
     # budget refuses it before even the 188 MB array of times exists
     cap = 3_000_000 * 1024
 
@@ -898,14 +909,14 @@ def test_stdout_release_draws_each_key_once_on_a_wide_tree(tmp_path, monkeypatch
     bits.write_text("1\n" * T)
     draws, draw = [], mechanisms.vertex_laplace
 
-    def counted(scale, seed, keys):
+    def counted(scale, seed, keys, **arrays):
         draws.append(keys.size)
-        return draw(scale, seed, keys)
+        return draw(scale, seed, keys, **arrays)
 
     monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
     code, out, _ = release(["run", "--variant", "plain", "--k", str(2**20), "--T", str(T)], bits)
     assert code == 0 and out.count("\n") == T + 2
-    assert T <= sum(draws) <= T + 2 * len(draws)
+    assert sum(draws) == T
 
 
 # a small process between the test and the release, so that the release's
@@ -968,9 +979,14 @@ def argv_of(*parts):
 VARIANT = option("--variant", st.sampled_from(list(cli._VARIANTS)))
 SEED = option("--seed", ints(5))
 # `analyze constants` writes a row per arity in [--k-min, --k-max], so the
-# span is drawn small; either end may still be an edge value
-ARITY_RANGE = st.one_of(st.just([]), st.tuples(ints(2, 3), st.integers(-1, 30)).map(
-    lambda lo_span: ["--k-min", lo_span[0], "--k-max", str(int(lo_span[0]) + lo_span[1])]))
+# span is drawn small, or past the largest arity it accepts; either end may
+# still be an edge value
+ARITY_RANGE = st.one_of(
+    st.just([]),
+    st.tuples(ints(2, 3), st.integers(-1, 30)).map(
+        lambda lo_span: ["--k-min", lo_span[0], "--k-max", str(int(lo_span[0]) + lo_span[1])]),
+    given_value("--k-max", st.sampled_from(["65537", str(2**62)])),
+)
 ARGV = {
     "run": argv_of(VARIANT, option("--k", ints(2, 3, 4, 19)), option("--epsilon", floats(1, 0.5)),
                    option("--T", ints(1, 3, 10)), SEED, switch("--with-true"),
@@ -986,7 +1002,8 @@ ARGV = {
                        option("--epsilon", floats(1, 0.5)), option("--delta", floats(1e-6, 0.1))),
     "lowerbound": argv_of(given_value("--T", ints(16, 256)), given_value("--k", ints(2, 4)),
                           option("--epsilon", floats(1, 0.5)),
-                          given_value("--trials", ints(1, 4, 20)), SEED, switch("--zero-noise")),
+                          given_value("--trials", ints(1, 4, 20, 10**7 + 1, 2**62)), SEED,
+                          switch("--zero-noise")),
 }
 INPUTS = st.sampled_from([
     b"", b"\n\n", b"1\n0\n1\n", b"1,0\r\n1\r", b" 1 ,\t0\n\n", "\u00a01\n0\u3000\n".encode(),

@@ -186,18 +186,63 @@ def test_batch_runner_equals_feed(variant, k):
 
 
 @pytest.mark.parametrize("variant,k", BATCH_CASES)
-def test_batch_runner_noise_of_many_seeds_is_each_run(variant, k):
-    # a batch of seeds gives, seed by seed, the noise of a one-seed run
+def test_batch_runner_noise_of_many_seeds_is_each_run(variant, k, monkeypatch):
+    # a batch of seeds gives, seed by seed, the noise of a one-seed run, and
+    # draws each of the plan's keys once under each seed
     T = 500
     cfg = MechanismConfig(variant, k, T, 1.0)
     runner = BatchRunner(cfg, times=[T, 1, 250, 250])
     seeds = np.array([[0, 3, 2**64 - 1], [5, 5, 2**63]], dtype=np.uint64)
+    draws = []
+
+    def counted(scale, seed, keys, **arrays):
+        draws.append(np.broadcast(seed, keys).size)
+        return vertex_laplace(scale, seed, keys, **arrays)
+
+    monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
     batch = runner.noise(seeds)
+    assert draws == [len(runner.keys) * seeds.size]
+    monkeypatch.undo()
     assert batch.shape == (4, 2, 3)
     zeros = [0] * T
     for r, c in np.ndindex(seeds.shape):
         assert batch[:, r, c].tolist() == runner.run(zeros, int(seeds[r, c])).tolist()
     assert runner.noise(7).tolist() == runner.run(zeros, 7).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(BATCH_CASES + [(DigitSystem.OFFSET_ODD, 2**10 + 1)]),
+    times=st.lists(st.integers(1, 1000), min_size=1, max_size=60),
+    seeds=st.lists(st.sampled_from([0, 7, 2**64 - 1]), min_size=1, max_size=3),
+)
+def test_batch_runner_noise_equals_feed_any_times(case, times, seeds):
+    # one plan evaluated under an array of seeds: each seed's column is the
+    # noise `feed` gives under that seed, at unsorted times with repeats
+    cfg = MechanismConfig(*case, 1000, 1.0)
+    got = BatchRunner(cfg, times).noise(np.array(seeds, dtype=np.uint64))
+    assert got.shape == (len(times), len(seeds))
+    for c, seed in enumerate(seeds):
+        noise = _fed_noise(*case, cfg.T, seed)
+        assert got[:, c].tolist() == [noise[t - 1] for t in times]
+
+
+def test_batch_runner_warm_noise_allocates_no_draw_sized_array():
+    # the plan of `bench --variant offset-even --k 20 --h 3` (4,210 keys)
+    # under a block of 15 seeds: a draw of 505 KB, hashed, transformed, summed
+    # and gathered in the runner's own arrays
+    cfg = MechanismConfig(DigitSystem.OFFSET_EVEN, 20, 4210, 1.0)
+    runner = BatchRunner(cfg)
+    seeds = np.arange(runner.seeds_per_block(), dtype=np.uint64)
+    assert len(runner.keys) * len(seeds) == 63_150
+    runner.noise(seeds)
+    tracemalloc.start()
+    try:
+        runner.noise(seeds + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("variant,k", BATCH_CASES)
@@ -303,27 +348,29 @@ def test_block_noise_memory_does_not_grow_with_height():
     assert peak < cfg.height * 4096 * 8
 
 
-@pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.OFFSET_ODD, 2**10 + 1)])
+@pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.OFFSET_ODD, 2**10 + 1)]
+                         + BATCH_CASES)
 def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
-    # a block draws only the keys its carried state lacks, so one-row blocks
-    # on a tree wider than a block draw about what `feed` draws, not O(t)
-    # each; checked against `feed` bit for bit
-    T = 3000
+    # a call draws only the walked keys its carried state lacks: over sorted
+    # times with repeats and gaps, cut into calls at random places, some
+    # empty, the draws are the distinct keys of the times' walks, each once,
+    # on trees wider than a call too; checked against `feed` bit for bit
+    T = 1000
+    rng = np.random.default_rng(k)
+    times = np.sort(rng.integers(1, T + 1, 600))
     cfg = MechanismConfig(variant, k, T, 1.0, seed=5)
-    mech = Mechanism(cfg)
-    noise = [mech.feed(0) for _ in range(T)]
-    draws = []
+    noise = _fed_noise(variant, k, T, 5)
+    drawn = []
 
-    def counted(scale, seed, keys):
-        draws.append(np.size(keys))
-        return vertex_laplace(scale, seed, keys)
+    def counted(scale, seed, keys, **arrays):
+        drawn.extend(np.ravel(keys).tolist())
+        return vertex_laplace(scale, seed, keys, **arrays)
 
     monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
     engine = BlockNoise(cfg)
-    got = [engine([t]) for t in range(1, T + 1)]
-    assert np.concatenate(got).tolist() == noise
-    # feed's ledger insertions, plus at most two unread keys per level and call
-    assert sum(draws) <= mech.work + 2 * cfg.height * T
+    got = [engine(part) for part in np.split(times, np.sort(rng.integers(0, len(times) + 1, 40)))]
+    assert np.concatenate(got).tolist() == [noise[t - 1] for t in times]
+    assert sorted(drawn) == sorted(set().union(*(output_keys_at(cfg, t) for t in times)))
 
 
 def test_block_noise_bounds():
@@ -337,6 +384,10 @@ def test_block_noise_bounds():
         engine([4])
     for times in ([0], [41]):
         with pytest.raises(ValueError, match="lie in"):
+            BlockNoise(cfg)(times)
+    # a float would be truncated, to the noise of another time, and a bool read as 1
+    for times in ([2.7], [True], np.array([1.0]), [1, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
             BlockNoise(cfg)(times)
     with pytest.raises(OverflowError, match="int64"):
         BlockNoise(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0))
@@ -387,6 +438,9 @@ def test_batch_runner_unsorted_duplicate_times():
     for times in ([0], [T + 1], [[1, 2]]):
         with pytest.raises(ValueError):
             BatchRunner(cfg, times=times)
+    for times in ([2.7], [True], np.array([1.0]), [1, 2.0]):
+        with pytest.raises(ValueError, match="integers"):
+            BatchRunner(cfg, times=times)
     with pytest.raises(OverflowError, match="int64"):
         BatchRunner(MechanismConfig(DigitSystem.PLAIN, 2, 2**63, 1.0), times=[1])
 
@@ -396,9 +450,9 @@ def test_batch_runner_builds_at_a_trillion():
     T = 10**12
     cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, T, 1.0)
     runner = BatchRunner(cfg, times=[T])
-    assert runner.keys.tolist() == sorted(output_keys_at(cfg, T))
+    assert sorted(runner.keys.tolist()) == sorted(output_keys_at(cfg, T))
     assert len(runner.keys) == weight(encode(T, 3, cfg.height, DigitSystem.OFFSET_ODD))
-    assert runner.index.shape[1] == 1
+    assert runner.noise(0).shape == (1,)
 
 
 # small arities of every variant
@@ -432,8 +486,8 @@ def test_batch_runner_keys_are_the_walked_keys_any_times(case, h, data):
     times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=50), label="times")
     runner = BatchRunner(cfg, times)
     walked = set().union(*(output_keys_at(cfg, t) for t in times))
-    assert runner.keys.tolist() == sorted(walked)
-    assert runner.index.shape[1] == len(times)
+    assert sorted(runner.keys.tolist()) == sorted(walked)
+    assert runner.noise(0).shape == (len(times),)
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,7 +511,7 @@ def test_each_key_is_one_vertex(case, h, data):
     for t in times:
         for lvl, prev, p in walk_at(cfg, t):
             assert vertex.setdefault(p, (lvl, min(prev, p))) == (lvl, min(prev, p))
-    assert BatchRunner(cfg, times).keys.tolist() == sorted(vertex)
+    assert sorted(BatchRunner(cfg, times).keys.tolist()) == sorted(vertex)
 
 
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
