@@ -107,11 +107,11 @@ def leading_constant(variant: DigitSystem, k: int) -> float:
 def optimal_k(variant: DigitSystem, k_min: int, k_max: int) -> tuple[int, float]:
     """Arity minimizing the leading constant over [k_min, k_max] (ties: smallest k).
 
-    k_max is at most 65,536: `analyze constants` writes a row per arity, and
-    2^16 of them take under a second.
+    The range spans at most 65,536 arities: `analyze constants` writes a row
+    per arity, and 2^16 of them take under a second.
     """
-    if k_max > 65536:
-        raise ValueError(f"k_max must be at most 65536, got {k_max}")
+    if k_max - k_min >= 65536:
+        raise ValueError(f"k_max - k_min must be below 65536, got {k_max} - {k_min}")
     best: tuple[int, float] | None = None
     for k in range(k_min, k_max + 1):
         try:

@@ -276,18 +276,8 @@ def _shifts(config: MechanismConfig) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, pows, -lo * ((pows[h] - pows) // (k - 1))
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values of the sorted, non-empty x, index of each element's value among them)."""
-    change = np.empty(len(x), dtype=bool)
-    change[0] = True
-    np.not_equal(x[1:], x[:-1], out=change[1:])
-    index = np.cumsum(change)
-    index -= 1
-    return x[change], index
-
-
 def _runs(config: MechanismConfig, shifts, t: np.ndarray):
-    """(off, split, row, plevel, d, base): the digit runs of sorted times t.
+    """(off, split, first, row, plevel, d, base): the digit runs of sorted times t.
 
     `shifts` is `_shifts(config)`.  Level 0's runs are the times (a repeated
     time is a run of its own), level l+1's the distinct q // k of level
@@ -296,30 +286,35 @@ def _runs(config: MechanismConfig, shifts, t: np.ndarray):
     q_h = 0.  d[r] is run r's digit.  The runs above level 0 are the rows:
     row[r] is run r's parent, plevel[i] is row i's level and base[i] the
     base of its children, the value of the digits from level plevel[i] up.
-    A row's children are consecutive runs, and their digits never decrease.
+    A row's children are consecutive runs, first[r] is whether run r is
+    its row's first, and their digits never decrease.
     """
     k, h = config.k, config.height
     lo, pows, shift = shifts
     q = t + shift[0]
-    qs, parents = [], []
+    qs, firsts = [], []
     while len(q) > 1:
         qs.append(q)
-        q, parent = _distinct(q // k)
-        parents.append(parent)
+        q = q // k
+        firsts.append(np.concatenate(([True], q[1:] != q[:-1])))
+        q = q[firsts[-1]]
     split = len(qs)
     qs.append(q // pows[: h + 1 - split])
+    firsts.append(np.ones(h - split, dtype=bool))
     counts = [len(x) for x in qs[:split]] + [1] * (h + 1 - split)
     off = list(itertools.accumulate(counts, initial=0))
-    n = off[h]
-    row = np.concatenate([p + (off[lvl + 1] - off[1]) for lvl, p in enumerate(parents)]
-                         + [np.arange(off[split] + 1, n + 1) - off[1]])
+    first = np.concatenate(firsts)
+    # the rows are numbered in run order, so a run's row is the count of
+    # first runs up to it, less one
+    row = np.cumsum(first)
+    row -= 1
     q = np.concatenate(qs)
     plevel = np.repeat(np.arange(1, h + 1), counts[1:])
     base = q[off[1] :] * pows[plevel]
     base -= shift[plevel]
-    d = q[:n] % k
+    d = q[: off[h]] % k
     d += lo
-    return off, split, row, plevel, d, base
+    return off, split, first, row, plevel, d, base
 
 
 class _Plan:
@@ -336,90 +331,115 @@ class _Plan:
     base down to its first digit.  Each walked key that no earlier call drew
     is in one lane, once.
 
-    The running sums along the lanes take one `cumsum` per lane or one add
-    per slot, whichever makes fewer numpy calls, so the lanes, longest
-    first, are laid out lane by lane or slot by slot (slot j of every lane
-    that has one, j = 1, 2, ...).  After them come the carried state, at
-    each level its + sum at j0 and its - sums at j = 1..m (m = -lo, the
-    largest magnitude of a negative digit), and one 0.0, so each run's level
-    sum is one gather: a lane slot, a carried sum, or the 0.0 of a digit of 0.
+    The lanes, longest first, are laid out slot by slot: slot j holds key j
+    of every lane that has one, so the slots that the same lanes have form
+    a regular slots x lanes grid, a stretch.  After the lanes come the
+    carried state, at each level its + sum at j0 and its - sums at j = 1..m
+    (m = -lo, the largest magnitude of a negative digit), and one 0.0, so
+    each run's level sum is one gather: a lane slot, a carried sum, or the
+    0.0 of a digit of 0.  Only the runs of a level's first row read the
+    carried state.
     """
 
     def __init__(self, config: MechanismConfig, shifts, t: np.ndarray, last: int):
-        h, (lo, pows, shift) = config.height, shifts
-        q = (last + shift[0]) // pows  # the last time's digits at every level are those of q
-        base0, j0, m = q[1:] * pows[1:] - shift[1:], np.maximum(q[:-1] % config.k + lo, 0), -lo
-        off, split, row, plevel, d, base = _runs(config, shifts, t)
-        n, rows = len(d), len(base)
-        self.off, self.split, self.row = off, split, row
-        top = row[off[:h]]  # the first row of each level, at level l + 1
+        h = config.height
+        lo, pows, shift = shifts
+        m = -lo
+        # the last time's digits at every level are those of q
+        q = (last + shift[0]) // pows
+        base0 = q[1:] * pows[1:] - shift[1:]
+        j0 = np.maximum(q[:-1] % config.k + lo, 0)
+        off, split, first, row, plevel, d, base = _runs(config, shifts, t)
+        n = len(d)
+        rows = len(base)
+        self.off = off
+        self.split = split
+        self.row = row
+        # row i's children are the runs bound[i] .. bound[i + 1] - 1
+        bound = np.append(np.flatnonzero(first), n)
+        del first  # the dels free arrays early, for the peak memory
+        offh = np.array(off[:h])
+        top = row[offh]  # the first row of each level, at level l + 1
         goes_on = base[top] == base0
-        first = np.concatenate(([True], row[1:] != row[:-1]))
-        low, high = d[first], d[np.append(first[1:], True)]  # each row's first and last digit
         jrow = np.zeros(rows, dtype=np.int64)
         jrow[top] = j0 * goes_on
-        new = low < 0
-        new[top] &= ~goes_on
-        onto = goes_on & (j0 > 0) & (high[top] > j0)  # the levels whose + side goes on from j0
-        # lane i < rows is row i's + side and lane rows + i its - side
-        length = np.concatenate((np.maximum(high - jrow, 0), np.where(new, -low, 0)))
+        # lane i is row i's - side, down to its first digit if its base is
+        # new, and lane rows + i its + side, from jrow[i] up to its last digit
+        length = np.empty(2 * rows, dtype=np.int64)
+        np.negative(d[bound[:-1]], out=length[:rows])
+        length[top[goes_on]] = 0
+        np.take(d, bound[1:] - 1, out=length[rows:])
+        np.maximum(length, 0, out=length)
+        length[rows:] -= jrow
         order = np.argsort(-length, kind="stable")
         rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        sizes = length[order[: np.count_nonzero(length)]]
-        nkeys, width = int(sizes.sum()), int(sizes.max(initial=0))
+        rank[order] = np.arange(2 * rows)
+        # lanes[j - 1] lanes have a slot j, which starts at slot[j]; the 0.0
+        # is at slot[0], and each lane's slot j at slot[j] + its rank
+        lanes = np.cumsum(np.bincount(length)[:0:-1])[::-1]
+        nkeys = int(length.sum())
         self.size = nkeys + h * (m + 1) + 1  # lanes, carried state and the 0.0
-        lane_major = len(sizes) < width - 1
-        # lane by lane, slot j of the lane ranked r is at start[r] + j - 1; slot
-        # by slot, at slot[j] + r
-        start = np.cumsum(sizes) - sizes
-        slots = 0 if lane_major else width
-        slot = np.zeros(slots + 2, dtype=np.int64)
-        np.cumsum(np.searchsorted(-sizes, -np.arange(1, slots + 1), side="right"), out=slot[2:])
-
-        def at(r, j, out=None):
-            """Index of slot j of the lane ranked r (any index if it has no slot j)."""
-            table, i, add = (start - 1, r, j) if lane_major else (slot, j, r)
-            return np.add(np.take(table, i, mode="clip", out=out), add, out=out)
-
-        # the state left: each level's last run, its row and, if the row's
-        # base is new, the - side running sums it drew
+        zero = self.size - 1
+        slot = np.empty(len(lanes) + 2, dtype=np.int64)
+        slot[0] = zero
+        slot[1] = 0
+        np.cumsum(lanes, out=slot[2:])
+        # stretches (start, lanes, slots): the slots that the same lanes have
+        cut = [0, *(np.flatnonzero(lanes[1:] != lanes[:-1]) + 1).tolist(), len(lanes)]
+        self.stretches = [(int(slot[a + 1]), int(lanes[a]), b - a) for a, b in zip(cut, cut[1:]) if b > a]
+        # slot j of the lane ranked r holds the key start[r] + j*step[r]
+        lane = order[: lanes[0] if nkeys else 0]
+        del order
+        minus = lane < rows
+        lane %= rows
+        step = pows[plevel[lane] - 1]
+        step[minus] *= -1
+        start = jrow[lane] * step
+        start += base[lane]
+        del lane, minus, plevel, base
+        keys = np.empty(nkeys, dtype=np.int64)
+        j = 1
+        for at, count, slots in self.stretches:
+            grid = keys[at : at + count * slots].reshape(slots, count)
+            np.add(start[:count], np.multiply.outer(np.arange(j, j + slots), step[:count]), out=grid)
+            j += slots
+        self.keys = keys.view(np.uint64)
+        del start, step
+        # each run's level sum: slot |d| of its lane, the 0.0 for d = 0, ...
+        self.gather = np.full(n + 1, zero)
+        np.abs(d, out=self.gather[:n])
+        np.take(slot, self.gather[:n], out=self.gather[:n], mode="clip")
+        lane = np.multiply(d > 0, rows)
+        lane += row
+        self.gather[:n] += np.take(rank, lane, out=lane)
+        del lane
+        np.minimum(self.gather, zero, out=self.gather)
+        # ... or, for the runs of a level's first row if it goes on, the
+        # carried + sum if d <= j0 and the carried - sums if d < 0
+        count = (bound[top + 1] - offh) * goes_on
+        lvl = np.repeat(np.arange(h), count)
+        runs = np.repeat(offh - np.cumsum(count) + count, count)
+        runs += np.arange(len(runs))
+        dr = d[runs]
+        c = dr - jrow[top[lvl]]
+        self.gather[runs] = np.where(c > 0, np.take(slot, c, mode="clip") + rank[top[lvl] + rows],
+                                     nkeys + lvl * (m + 1) + np.maximum(-dr, 0))
+        # the state left: at each level the + sum at its last digit (or the
+        # 0.0), and the - sums of its last row's base, drawn here if new
         final = np.array(off[1 : h + 1]) - 1
-        last_row = row[final]
-        down = np.where(new[last_row], -low[last_row], 0)[:, None]
-        j = np.arange(m + 1)
-        keep = np.where(down > 0, at(rank[last_row + rows, None], np.minimum(j, down)),
-                        nkeys + np.arange(h)[:, None] * (m + 1) + j)
-        # the keys, each at at(its lane's rank, its slot)
-        lane = np.repeat(order[: len(sizes)], sizes)
-        del first, high, length, low, order  # these dels free arrays early, for the peak memory
-        j = np.arange(nkeys) - np.repeat(start, sizes) + 1
-        at_key = at(rank[lane], j)
-        plus, lane = lane < rows, lane % rows
-        j = np.where(plus, j + jrow[lane], -j)
-        j *= pows[plevel[lane] - 1]
-        j += base[lane]
-        self.keys = np.empty(nkeys, dtype=np.uint64)
-        self.keys[at_key] = j
-        del lane, j, at_key, plus, base
-        # each run's level sum: slot c of its lane, a carried + or - sum, or the 0.0
-        plus = d > 0
-        c = np.negative(d)
-        np.subtract(d, jrow[row], out=c, where=plus)
-        lane = np.where(plus, row, row + rows)
-        self.gather = np.empty(n + 1, dtype=np.int64)
-        at(np.take(rank, lane, out=lane, mode="clip"), c, out=self.gather[:n])
-        # only some runs of a row that goes on read the state: j <= j0, or d < 0
-        runs = np.flatnonzero(((c <= 0) | ~(plus | new[row])) & (d != 0))
-        del c, lane, plus, jrow
-        self.gather[np.append(d == 0, True)] = self.size - 1  # and the root
-        self.gather[runs] = nkeys + (plevel[row[runs]] - 1) * (m + 1) + np.maximum(-d[runs], 0)
-        keep[:, 0] = np.where(d[final] > 0, self.gather[final], self.size - 1)
-        self.keep = np.append(keep, self.size - 1)
-        self.onto, self.carried = at(rank[top[onto]], 1), nkeys + np.flatnonzero(onto) * (m + 1)
-        # slot j + 1 of the lanes that have it, their slot j, and their number, j = 1..slots - 1
-        self.slots = list(zip(slot[2:-1].tolist(), slot[1:-2].tolist(), np.diff(slot[2:]).tolist()))
-        self.lanes = list(zip(start.tolist(), (start + sizes).tolist())) if lane_major else []
+        keep = np.empty((h, m + 1), dtype=np.int64)
+        keep[:, 0] = np.where(d[final] > 0, self.gather[final], zero)
+        if m:
+            last_row = row[final, None]
+            down = length[last_row]
+            j = np.arange(1, m + 1)
+            keep[:, 1:] = np.where(down > 0, slot[np.minimum(j, down)] + rank[last_row],
+                                   nkeys + np.arange(h)[:, None] * (m + 1) + j)
+        self.keep = np.append(keep, zero)
+        # the levels whose first row's + side goes on from the carried j0
+        onto = np.flatnonzero(length[top + rows] * jrow[top] > 0)
+        self.onto = rank[top[onto] + rows]
+        self.carried = nkeys + onto * (m + 1)
         self.arrays = None
 
     def evaluate(self, scale: float, seeds, carry) -> np.ndarray:
@@ -437,19 +457,34 @@ class _Plan:
         so the next such call overwrites the result.
         """
         shape = np.shape(seeds)
-        nkeys, lanes = len(self.keys), (1,) * len(shape)
+        nkeys = len(self.keys)
         if self.arrays is None or self.arrays[0].shape[1:] != shape:
             sizes = self.size, len(self.gather), self.off[1]
             self.arrays = [np.empty((size, *shape)) for size in sizes]
             self.arrays.append(np.empty((nkeys, *shape), dtype=np.uint64))
         z, acc, part, work = self.arrays
-        vertex_laplace(scale, seeds, self.keys.reshape(-1, *lanes), out=z[:nkeys], work=work)
-        z[nkeys:] = np.reshape(carry, (-1, *lanes))
+        keys = self.keys.reshape(-1, *[1] * len(shape))
+        vertex_laplace(scale, seeds, keys, out=z[:nkeys], work=work)
+        z[nkeys:] = np.reshape(carry, (-1, *[1] * len(shape)))
         z[self.onto] += z[self.carried]
-        for to, prev, count in self.slots:  # running sums: one add per slot of every lane
-            z[to : to + count] += z[prev : prev + count]
-        for start, stop in self.lanes:  # or one cumsum per lane
-            np.cumsum(z[start:stop], axis=0, out=z[start:stop])
+        # running sums along the lanes, a stretch at a time, on from the slot
+        # before it: one add per slot, or one cumsum along the slots, which
+        # runs one strided loop per column (lane and seed).  On numpy 2.4 an
+        # add costs about 1.2 us and the cumsum about 4 us plus 6 ns an
+        # element, so the cumsum wins from about 4 slots with 1 to 16
+        # columns, 8 slots with 64 and 16 slots with 256
+        columns = int(np.prod(shape))
+        prev = 0
+        for at, count, slots in self.stretches:
+            grid = z[at : at + count * slots].reshape(slots, count, *shape)
+            if at:
+                grid[0] += z[prev : prev + count]
+            if 16 * (slots - 1) > count * columns + 48:
+                np.cumsum(grid, axis=0, out=grid)
+            else:
+                for j in range(1, slots):
+                    grid[j] += grid[j - 1]
+            prev = at + count * (slots - 1)
         # every index is in range, and mode="raise" would copy through a buffer
         np.take(z, self.gather, axis=0, out=acc, mode="clip")
         # the single runs of levels h-1..split in one sequential cumsum from

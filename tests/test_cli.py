@@ -262,14 +262,26 @@ def test_lowerbound_out_of_range_trials_are_blamed(trials, monkeypatch, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("k_max", ["65537", str(2**62)])
-def test_analyze_arity_range_past_the_maximum_is_refused(k_max, monkeypatch, capsys):
-    # `analyze constants` scans every arity up to --k-max; 2^62 once ran for ever
-    code, out, err = run_cli(["analyze", "constants", "--k-max", k_max],
+@pytest.mark.parametrize("k_min,k_max", [("2", "65538"), ("2", str(2**62)),
+                                         ("100000", str(100000 + 65536))])
+def test_analyze_arity_range_past_the_maximum_is_refused(k_min, k_max, monkeypatch, capsys):
+    # `analyze constants` scans every arity from --k-min to --k-max; 2^62 once
+    # ran for ever
+    code, out, err = run_cli(["analyze", "constants", "--k-min", k_min, "--k-max", k_max],
                              monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
-    assert err == f"usage error: k_max must be at most 65536, got {k_max}\n"
+    assert err == f"usage error: k_max - k_min must be below 65536, got {k_max} - {k_min}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("k_min,k_max", [("2", "65537"), ("100000", "100001")])
+def test_analyze_arity_range_up_to_the_maximum_is_answered(k_min, k_max, monkeypatch, capsys):
+    # the bound is on the number of arities, not on their size
+    code, out, err = run_cli(["analyze", "constants", "--k-min", k_min, "--k-max", k_max],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out.startswith("k,leading_constant\n") and out.splitlines()[-1].startswith("# argmin k=")
+    assert err == ""
 
 
 def test_output_file(tmp_path, monkeypatch, capsys):
@@ -985,7 +997,7 @@ ARITY_RANGE = st.one_of(
     st.just([]),
     st.tuples(ints(2, 3), st.integers(-1, 30)).map(
         lambda lo_span: ["--k-min", lo_span[0], "--k-max", str(int(lo_span[0]) + lo_span[1])]),
-    given_value("--k-max", st.sampled_from(["65537", str(2**62)])),
+    given_value("--k-max", st.sampled_from(["65538", str(2**62)])),
 )
 ARGV = {
     "run": argv_of(VARIANT, option("--k", ints(2, 3, 4, 19)), option("--epsilon", floats(1, 0.5)),

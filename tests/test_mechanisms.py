@@ -353,13 +353,17 @@ def test_block_noise_memory_does_not_grow_with_height():
 def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
     # a call draws only the walked keys its carried state lacks: over sorted
     # times with repeats and gaps, cut into calls at random places, some
-    # empty, the draws are the distinct keys of the times' walks, each once,
-    # on trees wider than a call too; checked against `feed` bit for bit
-    T = 1000
+    # empty, and over one-row calls at every t, as from a producer that sends
+    # one bit at a time, the draws are the distinct keys of the times' walks,
+    # each once, on trees wider than a call too; checked against `feed` bit
+    # for bit
+    T = 3000
     rng = np.random.default_rng(k)
     times = np.sort(rng.integers(1, T + 1, 600))
+    cut = np.split(times, np.sort(rng.integers(0, len(times) + 1, 40)))
     cfg = MechanismConfig(variant, k, T, 1.0, seed=5)
     noise = _fed_noise(variant, k, T, 5)
+    walks = {t: output_keys_at(cfg, t) for t in range(1, T + 1)}
     drawn = []
 
     def counted(scale, seed, keys, **arrays):
@@ -367,10 +371,13 @@ def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
         return vertex_laplace(scale, seed, keys, **arrays)
 
     monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
-    engine = BlockNoise(cfg)
-    got = [engine(part) for part in np.split(times, np.sort(rng.integers(0, len(times) + 1, 40)))]
-    assert np.concatenate(got).tolist() == [noise[t - 1] for t in times]
-    assert sorted(drawn) == sorted(set().union(*(output_keys_at(cfg, t) for t in times)))
+    for calls in (cut, [[t] for t in range(1, T + 1)]):
+        drawn.clear()
+        engine = BlockNoise(cfg)
+        got = np.concatenate([engine(part) for part in calls])
+        called = np.concatenate(calls).tolist()
+        assert got.tolist() == [noise[t - 1] for t in called]
+        assert sorted(drawn) == sorted(set().union(*(walks[t] for t in called)))
 
 
 def test_block_noise_bounds():
