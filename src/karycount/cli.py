@@ -36,7 +36,7 @@ READ_BYTES = 1 << 13
 #: the block's digit runs, about rows * k/(k - 1) + h of them, so a block's
 #: work and memory do not grow with h.  A read of `READ_BYTES` holds about
 #: this many bits ("0\n" each), so it is one block, and a block's fixed cost
-#: (a plan of some 60 numpy calls) is spread over as many rows as one read has.
+#: (the numpy calls of its plan) is spread over as many rows as one read has.
 BLOCK_ROWS = 1 << 12
 
 _VARIANTS = {

@@ -380,10 +380,7 @@ class _Plan:
         nkeys = int(length.sum())
         self.size = nkeys + h * (m + 1) + 1  # lanes, carried state and the 0.0
         zero = self.size - 1
-        slot = np.empty(len(lanes) + 2, dtype=np.int64)
-        slot[0] = zero
-        slot[1] = 0
-        np.cumsum(lanes, out=slot[2:])
+        slot = np.concatenate(([zero, 0], np.cumsum(lanes)))
         # stretches (start, lanes, slots): the slots that the same lanes have
         cut = [0, *(np.flatnonzero(lanes[1:] != lanes[:-1]) + 1).tolist(), len(lanes)]
         self.stretches = [(int(slot[a + 1]), int(lanes[a]), b - a) for a, b in zip(cut, cut[1:]) if b > a]
@@ -394,14 +391,13 @@ class _Plan:
         lane %= rows
         step = pows[plevel[lane] - 1]
         step[minus] *= -1
-        start = jrow[lane] * step
-        start += base[lane]
+        start = jrow[lane] * step + base[lane]
         del lane, minus, plevel, base
         keys = np.empty(nkeys, dtype=np.int64)
         j = 1
         for at, count, slots in self.stretches:
             grid = keys[at : at + count * slots].reshape(slots, count)
-            np.add(start[:count], np.multiply.outer(np.arange(j, j + slots), step[:count]), out=grid)
+            np.add(start[:count], np.arange(j, j + slots)[:, None] * step[:count], out=grid)
             j += slots
         self.keys = keys.view(np.uint64)
         del start, step
@@ -409,7 +405,7 @@ class _Plan:
         self.gather = np.full(n + 1, zero)
         np.abs(d, out=self.gather[:n])
         np.take(slot, self.gather[:n], out=self.gather[:n], mode="clip")
-        lane = np.multiply(d > 0, rows)
+        lane = np.where(d > 0, rows, 0)
         lane += row
         self.gather[:n] += np.take(rank, lane, out=lane)
         del lane
