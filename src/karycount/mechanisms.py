@@ -425,7 +425,7 @@ class _Plan:
         final = np.array(off[1 : h + 1]) - 1
         keep = np.empty((h, m + 1), dtype=np.int64)
         keep[:, 0] = np.where(d[final] > 0, self.gather[final], zero)
-        if m:
+        if m:  # digits can be negative, so a base can have a - side
             last_row = row[final, None]
             down = length[last_row]
             j = np.arange(1, m + 1)
