@@ -5,21 +5,12 @@ Laplace/Gaussian noise calibration, closed-form error analysis, and an
 empirical packing-argument simulator.
 """
 
-from .digits import (
-    DigitSystem,
-    DigitVector,
-    decode,
-    encode,
-    weight,
-)
+from .digits import DigitSystem
 from .mechanisms import (
     BatchRunner,
     Mechanism,
     MechanismConfig,
     MechanismStateError,
-    TreeOracle,
-    run_oracle,
-    sensitivity_audit,
 )
 from .noise import (
     CalibrationResult,
@@ -49,23 +40,15 @@ from .lowerbound import (
     derive_xi,
     exact_block_tv,
     packing_experiment,
-    run_distinguisher,
     sample_x0,
 )
 
 __all__ = [
     "DigitSystem",
-    "DigitVector",
-    "decode",
-    "encode",
-    "weight",
     "BatchRunner",
     "Mechanism",
     "MechanismConfig",
     "MechanismStateError",
-    "TreeOracle",
-    "run_oracle",
-    "sensitivity_audit",
     "CalibrationResult",
     "NoiseRegime",
     "calibrate_gaussian",
@@ -89,7 +72,6 @@ __all__ = [
     "derive_xi",
     "exact_block_tv",
     "packing_experiment",
-    "run_distinguisher",
     "sample_x0",
 ]
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitSystem, digit_bounds, max_value
-from .mechanisms import BatchRunner, MechanismConfig, output_keys
+from .mechanisms import BatchRunner, MechanismConfig
+from .mechanisms import output_keys  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .noise import vertex_laplace  # noqa: F401 -- unused; perfbench/layers.py patches this name
 
 LOG2E = math.log2(math.e)
@@ -125,6 +126,13 @@ def optimal_k(variant: DigitSystem, k_min: int, k_max: int) -> tuple[int, float]
     return best
 
 
+def _finite(name: str, value: float) -> float:
+    """`value`; `ValueError` naming it unless it is finite (a tiny epsilon or delta overflows it)."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {name} overflows to {value!r}")
+    return value
+
+
 def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
     """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2."""
     if T < 2:
@@ -133,9 +141,8 @@ def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
         raise ValueError(f"epsilon must be in (0, 1] and delta in (0, 1), got {(epsilon, delta)}")
     C = (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
     bound = C**2 * (1.0 + math.log(4.0 * T / 5.0) / math.pi) ** 2
-    if not math.isfinite(bound):  # a subnormal delta overflows sqrt(2/pi) / delta
-        raise ValueError(f"the Gaussian bound at delta={delta!r} overflows to {bound!r}")
-    return bound
+    # a subnormal delta overflows sqrt(2/pi) / delta
+    return _finite(f"Gaussian bound at delta={delta!r}", bound)
 
 
 @dataclass(frozen=True)
@@ -169,13 +176,15 @@ def crossover(variant: DigitSystem, k: int) -> CrossoverReport:
 
 def pure_leading_term(variant: DigitSystem, k: int, T: int, epsilon: float) -> float:
     """B_eps * log2(T)^3 / eps^2."""
-    return leading_constant(variant, k) * math.log2(T) ** 3 / _epsilon_squared(epsilon)
+    term = leading_constant(variant, k) * math.log2(T) ** 3 / _epsilon_squared(epsilon)
+    return _finite("pure leading term", term)
 
 
 def approx_leading_term(T: int, epsilon: float, delta: float) -> float:
-    """B_eps_delta * log2(T)^2 * log2(1/delta) / eps^2."""
+    """B_eps_delta * log2(T)^2 * log2(1/delta) / eps^2: the Gaussian bound's leading term."""
     eps2 = _epsilon_squared(epsilon)
-    return B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / delta) / eps2
+    term = B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / delta) / eps2
+    return _finite("approximate-DP leading term", term)
 
 
 @dataclass
@@ -189,18 +198,6 @@ class ErrorReport:
     trials: int = 0
     empirical_mse: float | None = None
     standard_error: float | None = None
-
-
-def exhaustive_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> float:
-    """Independent oracle: average digit weight times 2h^2/eps^2.
-
-    Counts the ledger's vertices after every step t in [1, T] (`output_keys`);
-    shares nothing with the closed forms beyond the per-vertex variance.
-    """
-    T = natural_max_T(variant, k, h)
-    cfg = MechanismConfig(variant=variant, k=k, T=T, epsilon=epsilon)
-    total = sum(len(keys) for keys in output_keys(cfg))
-    return (total / T) * 2.0 * h**2 / _epsilon_squared(epsilon)
 
 
 def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None) -> ErrorReport:

@@ -14,6 +14,7 @@ the rows of each read of input are flushed before the next read.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -391,7 +392,7 @@ def cmd_bench(args, out) -> int:
 
 def cmd_calibrate(args, out) -> int:
     rows = []
-    branch = None
+    branch = ratio = None
     try:
         if args.delta1 is not None:
             rows.append(noise.calibrate_pure_laplace(args.delta1, args.epsilon))
@@ -400,22 +401,31 @@ def cmd_calibrate(args, out) -> int:
                 raise UsageError("--delta is required with --delta2")
             rows.append(noise.calibrate_gaussian(args.delta2, args.epsilon, args.delta))
             rows.append(noise.calibrate_l2_laplace(args.delta2, args.epsilon, args.delta))
+            # the bound is derived for epsilon <= ln(1/delta) only
+            if args.epsilon <= math.log(1.0 / args.delta):
+                ratio = noise.variance_ratio_bound(args.epsilon, args.delta)
         if args.delta1 is not None and args.delta2 is not None:
             lam = args.delta1 / args.epsilon
             branch = noise.epsilon_of_laplace(args.delta1, args.delta2, lam, args.delta)
+        variances = [r.variance for r in rows]
     except UsageError:
         raise
     except ValueError as exc:
         raise UsageError(str(exc))
+    except OverflowError:  # a finite scale whose square passes the float range
+        scale = max(r.scale_or_sigma for r in rows)
+        raise UsageError(f"the variance of the noise scale {scale!r} overflows")
     if not rows:
         raise UsageError("provide --delta1 and/or --delta2")
     if branch is not None:
         out.write(f"# theorem3_branch={branch.branch} epsilon={fmt(branch.epsilon)}\n")
+    if ratio is not None:
+        out.write(f"# variance_ratio_bound={fmt(ratio)}\n")
     out.write("regime,scale_or_sigma,epsilon,delta,variance\n")
-    for r in rows:
+    for r, variance in zip(rows, variances):
         out.write(
             f"{r.regime.value},{fmt(r.scale_or_sigma)},{fmt(r.epsilon)},"
-            f"{fmt(r.delta)},{fmt(r.variance)}\n"
+            f"{fmt(r.delta)},{fmt(variance)}\n"
         )
     out.flush()
     return EXIT_OK
@@ -437,13 +447,15 @@ def cmd_analyze(args, out) -> int:
             rep = analysis.crossover(variant, args.k)
             hb = analysis.henzinger_bound(args.T, args.epsilon, args.delta)
             pure = analysis.pure_leading_term(variant, args.k, args.T, args.epsilon)
+            approx = analysis.approx_leading_term(args.T, args.epsilon, args.delta)
             out.write(
                 "B_eps,B_eps_delta,exponent,T,delta_threshold,"
-                "henzinger_bound,pure_leading_term\n"
+                "henzinger_bound,pure_leading_term,approx_leading_term\n"
             )
             out.write(
                 f"{fmt(rep.B_eps)},{fmt(rep.B_eps_delta)},{fmt(rep.exponent)},"
-                f"{args.T},{fmt(rep.delta_threshold(args.T))},{fmt(hb)},{fmt(pure)}\n"
+                f"{args.T},{fmt(rep.delta_threshold(args.T))},{fmt(hb)},{fmt(pure)},"
+                f"{fmt(approx)}\n"
             )
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -177,20 +177,6 @@ def derive_xi(
     return out
 
 
-def run_distinguisher(mechanism, y, y_prime, config: LowerBoundConfig, seeds) -> int | None:
-    """First block end where two seeded runs differ by more than k/2.
-
-    `mechanism(bits, seed)` returns the m estimates at t = B, 2B, ..., mB;
-    the 1-based index of the first block end where the difference exceeds
-    k/2 is returned, or None.
-    """
-    if len(y) != config.T or len(y_prime) != config.T:
-        raise ValueError("inputs must have length T")
-    diff = mechanism(y, seeds[0]) - mechanism(y_prime, seeds[1])
-    over = np.flatnonzero(diff > config.k / 2.0)
-    return int(over[0]) + 1 if len(over) else None
-
-
 def tree_mechanism_factory(config: LowerBoundConfig):
     """The mechanism under test, `config.tree_config()`, at the block ends.
 
@@ -233,8 +219,8 @@ def packing_experiment(config: LowerBoundConfig) -> PackingReport:
     (x^(0), x^(0)) with independent derived seeds: trial t runs x^(i), x^(0),
     x^(0), x^(0) under seeds seed + 4t .. seed + 4t + 3.  The runs of a block
     of trials are one `BatchRunner.noise` call over all their seeds plus the
-    cumulative block sums of the strings, and so equal `run_distinguisher`
-    on `tree_mechanism_factory`'s mechanism bit for bit.
+    cumulative block sums of the strings, and so equal, bit for bit, a
+    trial-by-trial loop of four runs of `tree_mechanism_factory`'s mechanism.
     """
     runner = tree_mechanism_factory(config).runner
     B, m, trials = config.B, config.m, config.trials

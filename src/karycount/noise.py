@@ -291,12 +291,12 @@ def variance_ratio_bound(epsilon: float, delta: float) -> float:
 
     Equals w^2 / (2 (sqrt(1+w) - 1)^2) with w = epsilon/ln(1/delta); valid
     for epsilon <= ln(1/delta) and always >= 2, approaching 2 as epsilon
-    goes to 0.
+    goes to 0.  Evaluated as (sqrt(1+w) + 1)^2 / 2, the same value, since
+    w = (sqrt(1+w) - 1)(sqrt(1+w) + 1): sqrt(1+w) - 1 cancels for small w.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     ln1d = math.log(1.0 / delta)
     if not 0 < epsilon <= ln1d:
         raise ValueError(f"epsilon must be in (0, ln(1/delta)={ln1d:.6g}], got {epsilon}")
-    w = epsilon / ln1d
-    return w**2 / (2.0 * (math.sqrt(1.0 + w) - 1.0) ** 2)
+    return (math.sqrt(1.0 + epsilon / ln1d) + 1.0) ** 2 / 2.0

@@ -21,11 +21,7 @@ from karycount.analysis import (
     closed_form_mse,
     crossover,
     empirical_mse,
-    even_vertex_count,
-    exhaustive_mse,
     leading_constant,
-    mse_offset_odd,
-    mse_plain,
     natural_max_T,
     optimal_k,
     pure_leading_term,
@@ -37,12 +33,19 @@ from karycount.lowerbound import (
     derive_xi,
     exact_block_tv,
     packing_experiment,
-    run_distinguisher,
     sample_x0,
     tree_mechanism_factory,
 )
-from karycount.mechanisms import Mechanism, MechanismConfig, run_oracle, sensitivity_audit
+from karycount.mechanisms import Mechanism, MechanismConfig
 from karycount.noise import l2_laplace_a, variance_ratio_bound
+from karyref import (
+    exhaustive_mse,
+    max_value,
+    run_distinguisher,
+    run_oracle,
+    sensitivity_audit,
+    weight_sum,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -167,16 +170,14 @@ def exact_slope_constant(variant: DigitSystem, k: int, h: int = 12) -> float:
     fixed slope per level and log2(T) ~ h log2(k), so the coefficient of
     log2(T)^3/eps^2 is 2 * slope / log2(k)^3.  The slope is read off as
     W_(h+1) - W_h; at h = 12 it has converged to well below 1e-12 relative
-    for the arities tested here.  Even W_h comes from the exact vertex
-    count, the others from their closed-form MSE (which criterion 1 checks
-    against the enumerated key walk).
+    for the arities tested here.  W_h is exact: the reference codec's digit
+    weights over [1, T], counted per level and digit (`karyref.weight_sum`),
+    and independent of the closed forms.
     """
 
     def mean_weight(height: int) -> Fraction:
-        if variant is DigitSystem.OFFSET_EVEN:
-            return even_vertex_count(k, height) / natural_max_T(variant, k, height)
-        mse = mse_plain if variant is DigitSystem.PLAIN else mse_offset_odd
-        return Fraction(mse(k, height, 1.0)) / (2 * height**2)
+        T = max_value(variant, k, height)
+        return Fraction(weight_sum(variant, k, height, T), T)
 
     return float(2 * (mean_weight(h + 1) - mean_weight(h))) / math.log2(k) ** 3
 

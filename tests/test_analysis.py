@@ -11,7 +11,6 @@ from karycount.analysis import (
     crossover,
     empirical_mse,
     even_vertex_count,
-    exhaustive_mse,
     henzinger_bound,
     leading_constant,
     mse_offset_even,
@@ -23,6 +22,7 @@ from karycount.analysis import (
 )
 from karycount.digits import DigitSystem
 from karycount.mechanisms import MechanismConfig
+from karyref import exhaustive_mse
 
 
 def test_closed_form_examples():

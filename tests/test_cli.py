@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from karycount import cli, mechanisms
+from karycount import analysis, cli, mechanisms, noise
 from karycount.mechanisms import Mechanism, MechanismConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -207,6 +207,38 @@ def test_calibrate_rejects_non_finite(args, monkeypatch, capsys):
     assert "laplace" not in out and "gaussian" not in out
 
 
+def test_calibrate_prints_the_variance_ratio_bound(monkeypatch, capsys):
+    # the paper's second claim: l2-Laplace noise at most this many times the
+    # Gaussian variance; written with --delta2 while epsilon <= ln(1/delta)
+    argv = ["calibrate", "--delta2", "1", "--epsilon", "0.5", "--delta", "1e-6"]
+    code, out, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    ratio = noise.variance_ratio_bound(0.5, 1e-6)
+    assert f"# variance_ratio_bound={cli.fmt(ratio)}" in out.splitlines()
+    assert 2.0 < ratio < 2.1
+    # ln(1/0.5) < 1: past the bound's range the line is left out
+    for argv in (["calibrate", "--delta2", "1", "--epsilon", "1", "--delta", "0.5"],
+                 ["calibrate", "--delta1", "1", "--epsilon", "1"]):
+        code, out, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        assert "variance_ratio_bound" not in out
+        assert out.splitlines()[0] == "regime,scale_or_sigma,epsilon,delta,variance"
+
+
+@pytest.mark.parametrize("args", [
+    ["--delta1", "3", "--epsilon", "1e-300"],
+    ["--delta1", "1e200", "--epsilon", "1"],
+    ["--delta2", "1e200", "--epsilon", "1", "--delta", "1e-6"],
+], ids=" ".join)
+def test_calibrate_variance_that_overflows_is_usage_error(args, monkeypatch, capsys):
+    # each scale is finite but its variance is not: the header was written,
+    # then an OverflowError traceback
+    code, out, err = run_cli(["calibrate", *args], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "overflows" in err
+    assert out == ""
+
+
 def test_analyze_constants(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["analyze", "constants", "--variant", "offset-odd"],
@@ -228,6 +260,23 @@ def test_analyze_crossover(monkeypatch, capsys):
     assert float(row[0]) == pytest.approx(0.12359121795987113)
     assert float(row[2]) == pytest.approx(0.915695295699376)
     assert float(row[2]) < 0.92
+
+
+def test_analyze_crossover_prints_both_leading_terms(monkeypatch, capsys):
+    # the paper's first claim: below delta_threshold the pure-DP tree's
+    # leading term is at most the Gaussian bound's
+    argv = ["analyze", "crossover", "--k", "19", "--T", "1024", "--epsilon", "0.5"]
+    code, out, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), map(float, row.split(","))))
+    assert list(cells)[-2:] == ["pure_leading_term", "approx_leading_term"]
+    assert cells["approx_leading_term"] == analysis.approx_leading_term(1024, 0.5, 1e-6)
+    assert cells["pure_leading_term"] <= cells["approx_leading_term"]
+    threshold = cli.fmt(cells["delta_threshold"] / 2)
+    code, out, _ = run_cli([*argv, "--delta", threshold], monkeypatch=monkeypatch, capsys=capsys)
+    cells = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert float(cells["pure_leading_term"]) <= float(cells["approx_leading_term"])
 
 
 def test_lowerbound_zero_noise(monkeypatch, capsys):
@@ -714,6 +763,8 @@ SUBNORMAL_EPSILON = [
     ["bench", "--k", "3", "--h", "2", "--trials", "10", "--epsilon", "1e-320"],
     ["bench", "--k", "3", "--h", "2", "--trials", "10", "--epsilon", "1e-200"],
     ["analyze", "crossover", "--epsilon", "1e-200"],
+    # the Gaussian bound is finite, but the pure leading term overflows to inf
+    ["analyze", "crossover", "--epsilon", "1e-152", "--T", str(2**62), "--delta", "0.5"],
 ]
 
 
@@ -1006,7 +1057,7 @@ ARGV = {
     "bench": argv_of(VARIANT, option("--k", ints(3, 4, 5)), option("--h", ints(1, 2)),
                      option("--epsilon", floats(1, 0.5)), given_value("--trials", ints(1, 10)),
                      SEED, switch("--zero-noise")),
-    "calibrate": argv_of(option("--delta1", floats(1, 3)), option("--delta2", floats(1)),
+    "calibrate": argv_of(option("--delta1", floats(1, 3, 1e200)), option("--delta2", floats(1, 1e200)),
                          given_value("--epsilon", floats(1, 0.5)),
                          option("--delta", floats(1e-6, 0.1))),
     "analyze": argv_of(st.sampled_from([["constants"], ["crossover"]]), VARIANT,

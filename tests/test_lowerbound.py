@@ -18,10 +18,10 @@ from karycount.lowerbound import (
     derive_xi,
     exact_block_tv,
     packing_experiment,
-    run_distinguisher,
     sample_x0,
     tree_mechanism_factory,
 )
+from karyref import run_distinguisher
 
 
 def exact_tv_by_fractions(B, k):

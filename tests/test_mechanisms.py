@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from karycount import mechanisms
 from karycount.analysis import natural_max_T
-from karycount.digits import DigitSystem, encode, max_value, weight
+from karycount.digits import DigitSystem, max_value
 from karycount.lowerbound import LowerBoundConfig
 from karycount.mechanisms import (
     BatchRunner,
@@ -19,10 +19,17 @@ from karycount.mechanisms import (
     MechanismConfig,
     MechanismStateError,
     output_keys,
-    run_oracle,
-    sensitivity_audit,
 )
 from karycount.noise import vertex_laplace
+from karyref import (
+    encode,
+    laplace,
+    output_keys_at,
+    run_oracle,
+    sensitivity_audit,
+    walk_at,
+    weight,
+)
 
 VARIANT_ARITIES = [
     (DigitSystem.PLAIN, 2),
@@ -36,21 +43,6 @@ VARIANT_ARITIES = [
 
 def _random_bits(T, seed):
     return np.random.default_rng(seed).integers(0, 2, size=T).tolist()
-
-
-def walk_at(cfg: MechanismConfig, t: int):
-    """(level, previous position, key) of each vertex of t's walk, written out with `digits.encode`."""
-    digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
-    p = 0
-    for lvl in range(cfg.height - 1, -1, -1):
-        for _ in range(abs(digits[lvl])):
-            prev, p = p, p + (cfg.k**lvl if digits[lvl] > 0 else -(cfg.k**lvl))
-            yield lvl, prev, p
-
-
-def output_keys_at(cfg: MechanismConfig, t: int) -> list[int]:
-    """The keys of one time step's walk, in walk order."""
-    return [p for _, _, p in walk_at(cfg, t)]
 
 
 def test_config_heights():
@@ -537,13 +529,13 @@ def test_ledger_tracks_current_keys(variant, k):
 def canonical_noise(cfg: MechanismConfig, t: int, keys: list[int]) -> float:
     """0.0 plus the level sums from level h-1 down to 0; each level sum is
     0.0 plus that level's draws in walk order (the mechanisms docstring)."""
-    digits = encode(t, cfg.k, cfg.height, cfg.variant).digits
+    digits = encode(t, cfg.k, cfg.height, cfg.variant)
     walk = iter(keys)
     noise = 0.0
     for lvl in range(cfg.height - 1, -1, -1):
         level_sum = 0.0
         for _ in range(abs(digits[lvl])):
-            level_sum += vertex_laplace(cfg.scale, cfg.seed, next(walk))
+            level_sum += laplace(cfg.scale, cfg.seed, next(walk))
         noise += level_sum
     assert next(walk, None) is None
     return noise

@@ -20,6 +20,7 @@ from karycount.noise import (
     vertex_laplace,
     vertex_uniform,
 )
+import karyref
 
 
 def test_vertex_uniform_deterministic():
@@ -176,6 +177,14 @@ def test_variance_ratio_bound_monotone_and_floor():
         r = variance_ratio_bound(float(eps), delta)
         assert r >= prev - 1e-12
         prev = r
+    # below epsilon ~ 1e-12, sqrt(1+w) - 1 cancelled: 1.99977 at (1e-12, 1e-6),
+    # and ZeroDivisionError from 1e-15 down
+    for delta in (1e-6, 1e-8, 0.5):
+        prev = 2.0
+        for eps in (1e-300, 1e-200, 1e-100, 1e-20, 1e-16, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6):
+            r = variance_ratio_bound(eps, delta)
+            assert prev <= r < 2.0 + 1e-5
+            prev = r
     with pytest.raises(ValueError):
         variance_ratio_bound(math.log(1e8) + 0.1, 1e-8)
 
@@ -201,6 +210,7 @@ def test_splitmix64_first_output():
     assert _mix64_int(0) == 0xE220A8397B1DCDAF
     with np.errstate(over="ignore"):
         assert int(_mix64(np.uint64(0))) == 0xE220A8397B1DCDAF
+    assert karyref.mix64(0) == 0xE220A8397B1DCDAF
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**40))
