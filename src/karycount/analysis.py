@@ -17,6 +17,7 @@ import numpy as np
 from .digits import DigitSystem, digit_bounds, max_value
 from .mechanisms import BatchRunner, MechanismConfig
 from .mechanisms import output_keys  # noqa: F401 -- unused; perfbench/layers.py patches this name
+from .noise import check_delta, check_epsilon, check_seed
 from .noise import vertex_laplace  # noqa: F401 -- unused; perfbench/layers.py patches this name
 
 LOG2E = math.log2(math.e)
@@ -27,13 +28,14 @@ B_EPS_DELTA = 4.0 / (math.pi**2 * LOG2E**3)
 
 
 def _epsilon_squared(epsilon: float) -> float:
-    """epsilon^2, which the closed forms divide by; `ValueError` unless it is > 0.
+    """epsilon^2, which the closed forms divide by; `ValueError` unless finite and > 0.
 
-    A subnormal epsilon is > 0, but its square underflows to 0.
+    A tiny epsilon passes `check_epsilon`, but its square underflows to 0,
+    and a huge one's overflows to inf.
     """
-    eps2 = epsilon**2
-    if not eps2 > 0:
-        raise ValueError(f"epsilon^2 must be > 0, got {epsilon!r}^2 = {eps2!r}")
+    eps2 = check_epsilon(epsilon) * epsilon
+    if not (math.isfinite(eps2) and eps2 > 0):
+        raise ValueError(f"epsilon^2 must be finite and > 0, got {epsilon!r}^2 = {eps2!r}")
     return eps2
 
 
@@ -44,16 +46,16 @@ def natural_max_T(variant: DigitSystem, k: int, h: int) -> int:
 
 def mse_plain(k: int, h: int, epsilon: float) -> float:
     """(k-1) h^3 / (eps^2 (1 - k^-h)) over T = k^h - 1 outputs."""
-    if k < 2 or h < 1 or epsilon <= 0:
-        raise ValueError(f"need k >= 2, h >= 1, epsilon > 0; got {(k, h, epsilon)}")
+    if k < 2 or h < 1:
+        raise ValueError(f"need k >= 2 and h >= 1; got {(k, h)}")
     return (k - 1) * h**3 / (_epsilon_squared(epsilon) * (1.0 - k ** (-h)))
 
 
 def mse_offset_odd(k: int, h: int, epsilon: float) -> float:
     """k (1 - 1/k^2) h^3 / (2 eps^2 (1 - k^-h)) over T = (k^h - 1)/2 outputs."""
     digit_bounds(DigitSystem.OFFSET_ODD, k)
-    if h < 1 or epsilon <= 0:
-        raise ValueError(f"need h >= 1 and epsilon > 0; got {(h, epsilon)}")
+    if h < 1:
+        raise ValueError(f"need h >= 1; got {h}")
     eps2 = _epsilon_squared(epsilon)
     return k * (1.0 - 1.0 / k**2) * h**3 / (2.0 * eps2 * (1.0 - k ** (-h)))
 
@@ -79,8 +81,8 @@ def even_vertex_count(k: int, h: int) -> "Fraction":
 
 def mse_offset_even(k: int, h: int, epsilon: float) -> float:
     """Exact even-k MSE (c_h / T) * 2h^2/eps^2 over T = k(k^h-1)/(2(k-1)) outputs."""
-    if h < 1 or epsilon <= 0:
-        raise ValueError(f"need h >= 1 and epsilon > 0; got {(h, epsilon)}")
+    if h < 1:
+        raise ValueError(f"need h >= 1; got {h}")
     c = even_vertex_count(k, h)
     T = natural_max_T(DigitSystem.OFFSET_EVEN, k, h)
     return float(c / T) * 2.0 * h**2 / _epsilon_squared(epsilon)
@@ -137,8 +139,8 @@ def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
     """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2."""
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
-    if not 0 < epsilon <= 1 or not 0 < delta < 1:
-        raise ValueError(f"epsilon must be in (0, 1] and delta in (0, 1), got {(epsilon, delta)}")
+    check_epsilon(epsilon, 1.0)
+    check_delta(delta)
     C = (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
     bound = C**2 * (1.0 + math.log(4.0 * T / 5.0) / math.pi) ** 2
     # a subnormal delta overflows sqrt(2/pi) / delta
@@ -183,7 +185,7 @@ def pure_leading_term(variant: DigitSystem, k: int, T: int, epsilon: float) -> f
 def approx_leading_term(T: int, epsilon: float, delta: float) -> float:
     """B_eps_delta * log2(T)^2 * log2(1/delta) / eps^2: the Gaussian bound's leading term."""
     eps2 = _epsilon_squared(epsilon)
-    term = B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / delta) / eps2
+    term = B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / check_delta(delta)) / eps2
     return _finite("approximate-DP leading term", term)
 
 
@@ -212,11 +214,9 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base_seed = config.seed if seed is None else seed
-    if not 0 <= base_seed <= 2**64 - trials:
-        raise ValueError(f"trial seeds {base_seed} + [0, {trials}) must lie in [0, 2^64)")
+    base_seed = check_seed(config.seed if seed is None else seed, trials)
     h = config.height
-    # before any trial: it rejects an epsilon whose square underflows
+    # before any trial: it rejects an epsilon whose square underflows or overflows
     closed = closed_form_mse(config.variant, config.k, h, config.epsilon)
     if not math.isfinite(closed):
         raise ValueError(f"the closed-form MSE at epsilon={config.epsilon!r} overflows to {closed!r}")

@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 data error (a named output that
 cannot be opened or written is one; it is opened at the command's first
 line, so a usage error leaves it as it was), 3 bench acceptance failure,
 141 the reader of stdout went away (128 + SIGPIPE, as a shell reports a
-process killed by that signal).  `run` releases its rows in blocks through
-`mechanisms.BlockNoise`, equal bit for bit to `Mechanism.feed`; on stdout
-the rows of each read of input are flushed before the next read.
+process killed by that signal).  `run` releases the rows of each read of
+input in one call of `mechanisms.BlockNoise`, equal bit for bit to
+`Mechanism.feed`; on stdout they are flushed before the next read.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ EXIT_ACCEPT = 3
 EXIT_PIPE = 141
 
 #: Bytes asked of the input per read; a read returns what is there, up to this.
+#: A read holds at most READ_BYTES // 2 + 1 bits, each but the last followed
+#: by a separator, and its rows are one `BlockNoise` call: the call works on
+#: their digit runs, about rows * k/(k - 1) + h of them, so its work and
+#: memory do not grow with h, and its fixed cost (the numpy calls of its
+#: plan) is spread over the rows of a read.
 READ_BYTES = 1 << 13
-#: Rows of one block of the release, at every height: `BlockNoise` works on
-#: the block's digit runs, about rows * k/(k - 1) + h of them, so a block's
-#: work and memory do not grow with h.  A read of `READ_BYTES` holds about
-#: this many bits ("0\n" each), so it is one block, and a block's fixed cost
-#: (the numpy calls of its plan) is spread over as many rows as one read has.
-BLOCK_ROWS = 1 << 12
 
 _VARIANTS = {
     "plain": DigitSystem.PLAIN,
@@ -72,12 +71,9 @@ def _resolve_seed(value) -> int:
     env = os.environ.get("DP_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            return int(env)  # its range is checked with --seed's, by `noise.check_seed`
         except ValueError:
             raise UsageError(f"DP_SEED must be an unsigned integer, got {env!r}")
-        if seed < 0:
-            raise UsageError(f"DP_SEED must be an unsigned integer, got {env!r}")
-        return seed
     return 0
 
 
@@ -290,11 +286,10 @@ def cmd_run(args, out) -> int:
         T = args.T
         chunks = _read_bits(args.input, out.flush if online else None)
     else:
-        data = b"".join(_read_bits(args.input))
-        if not data:
+        chunks = list(_read_bits(args.input))
+        T = sum(map(len, chunks))
+        if not T:
             raise DataError("empty input stream")
-        T = len(data)
-        chunks = [data]
     try:
         cfg = MechanismConfig(
             variant=variant, k=args.k, T=T, epsilon=args.epsilon,
@@ -317,28 +312,26 @@ def cmd_run(args, out) -> int:
 
 
 def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
-    """Write one row per input bit, a block of rows at a time; return the rows.
+    """Write one row per input bit, the rows of a chunk at a time; return the rows.
 
-    A block is the true counts plus the next call of one `BlockNoise`,
-    which equals `Mechanism.feed` bit for bit, formatted by `format_rows`
-    in one write.
+    A chunk's rows are the true counts plus the next call of one
+    `BlockNoise`, which equals `Mechanism.feed` bit for bit, formatted by
+    `format_rows` in one write.
     """
     engine = BlockNoise(cfg)
     t = true_sum = 0
     for chunk in chunks:
         bits = np.frombuffer(chunk, dtype=np.uint8)
-        for start in range(0, len(bits), BLOCK_ROWS):
-            block = bits[start : start + BLOCK_ROWS]
-            n = min(len(block), cfg.T - t)
-            if n:
-                times = np.arange(t + 1, t + n + 1, dtype=np.int64)
-                counts = np.cumsum(block[:n] - 48, dtype=np.int64)
-                counts += true_sum
-                est = counts + engine(times)
-                out.write(format_rows(t, est, counts if with_true else None))
-                t, true_sum = t + n, int(counts[-1])
-            if n < len(block):
-                raise DataError(f"input longer than --T {cfg.T}")
+        n = min(len(bits), cfg.T - t)
+        if n:
+            times = np.arange(t + 1, t + n + 1, dtype=np.int64)
+            counts = np.cumsum(bits[:n] - 48, dtype=np.int64)
+            counts += true_sum
+            est = counts + engine(times)
+            out.write(format_rows(t, est, counts if with_true else None))
+            t, true_sum = t + n, int(counts[-1])
+        if n < len(bits):
+            raise DataError(f"input longer than --T {cfg.T}")
     return t
 
 
@@ -407,14 +400,10 @@ def cmd_calibrate(args, out) -> int:
         if args.delta1 is not None and args.delta2 is not None:
             lam = args.delta1 / args.epsilon
             branch = noise.epsilon_of_laplace(args.delta1, args.delta2, lam, args.delta)
+        # a finite scale whose variance overflows or underflows raises here
         variances = [r.variance for r in rows]
-    except UsageError:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc))
-    except OverflowError:  # a finite scale whose square passes the float range
-        scale = max(r.scale_or_sigma for r in rows)
-        raise UsageError(f"the variance of the noise scale {scale!r} overflows")
     if not rows:
         raise UsageError("provide --delta1 and/or --delta2")
     if branch is not None:

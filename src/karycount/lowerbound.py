@@ -27,6 +27,7 @@ import numpy as np
 
 from .digits import DigitSystem
 from .mechanisms import BatchRunner, MechanismConfig
+from .noise import check_seed
 
 #: 6 * sqrt(2) / sqrt(pi): constant of the block-count TV upper bound k/sqrt(B).
 TV_BOUND_CONST = 6.0 * math.sqrt(2.0) / math.sqrt(math.pi)
@@ -53,19 +54,12 @@ class LowerBoundConfig:
             raise ValueError(f"flip count k={self.k} must be a positive even integer")
         if self.k > B // 4:
             raise ValueError(f"need k <= B/4 = {B // 4}, got k={self.k}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        self.tree_config()  # its per-vertex scale must be finite too
+        self.tree_config()  # checks epsilon and its per-vertex scale
         # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3; at
         # about 1,200 trials a second (T = 102,400), 10^7 trials take 2.3 hours
         if not 1 <= self.trials <= 10**7:
             raise ValueError(f"trials must be in [1, 10^7], got {self.trials}")
-        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-                and 0 <= self.seed <= 2**64 - 4 * self.trials):
-            raise ValueError(
-                f"seed must be an integer in [0, 2^64 - 4*trials], got {self.seed!r}"
-            )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed, 4 * self.trials))
 
     def tree_config(self) -> MechanismConfig:
         """The mechanism under test: an offset-odd k=3 tree at this epsilon."""

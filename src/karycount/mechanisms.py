@@ -5,11 +5,11 @@ current time step and a lazy ledger of Laplace noise terms keyed by tree
 vertex index p.  The value of a noise term is a pure function of
 (seed, p) -- see `noise.vertex_laplace` -- so the vectorized `BlockNoise`
 (`karycount run`) and `BatchRunner` (`bench`, `lowerbound`), which build
-one `_Plan` of the requested times and evaluate it, under one seed or
-under many, are bit-identical to it under the same seed, and so is the
-tests' explicit tree of subtree sums.  That pointwise equality is
-deliberately stronger than the distributional equivalence it mirrors and
-is what the equivalence tests pin down.
+one `_Plan` of the requested times, sorted and checked by `_check_times`,
+and evaluate it, under one seed or under many, are bit-identical to it
+under the same seed, and so is the tests' explicit tree of subtree sums.
+That pointwise equality is deliberately stronger than the distributional
+equivalence it mirrors and is what the equivalence tests pin down.
 
 Sign convention: a vertex is always consumed with the same role (left
 children are added, right children subtracted), and since Laplace noise is
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .digits import DigitSystem, digit_bounds, max_value
-from .noise import check_scale, vertex_laplace
+from .noise import check_epsilon, check_scale, check_seed, vertex_laplace
 
 #: Elements of the (keys + 1) x seeds draws or of the outputs x seeds result
 #: of `BatchRunner.noise`, whichever is larger (its runs, about k/(k - 1)
@@ -66,14 +65,10 @@ class MechanismConfig:
         digit_bounds(self.variant, self.k)  # validates variant/arity parity
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         check_scale("per-vertex scale h/epsilon", self.height / self.epsilon)
-        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         # a Python int, so a scalar draw takes the int hash
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @functools.cached_property
     def height(self) -> int:
@@ -262,16 +257,19 @@ def check_plan_budget(config: MechanismConfig, rows: int, span: int) -> None:
         )
 
 
-def _check_times(config: MechanismConfig, times) -> np.ndarray:
-    """`times`, integers, as a one-dimensional int64 array in [1, T], after `check_int64`."""
+def _check_times(config: MechanismConfig, times, first: int = 1) -> np.ndarray:
+    """`times`, sorted integers in [first, T], as a one-dimensional int64 array.
+
+    Repeated times are allowed.  `check_int64` comes first.
+    """
     check_int64(config)
     t = np.asarray(times)
     # a float would be truncated to another time, and a bool read as 0 or 1
     if t.ndim != 1 or t.size and t.dtype.kind not in "iu":
         raise ValueError(f"times must be one-dimensional integers, got {t.dtype}, shape {t.shape}")
     t = t.astype(np.int64, copy=False)
-    if len(t) and (t.min() < 1 or t.max() > config.T):
-        raise ValueError(f"times must lie in [1, T={config.T}]")
+    if len(t) and (t[0] < first or t[-1] > config.T or (t[1:] < t[:-1]).any()):
+        raise ValueError(f"times must be sorted and lie in [{first}, T={config.T}]")
     return t
 
 
@@ -536,11 +534,10 @@ class BlockNoise:
         self._carry = 0.0
 
     def __call__(self, times) -> np.ndarray:
-        t = _check_times(self.config, times)
+        # not before the last call's last time
+        t = _check_times(self.config, times, max(self._last, 1))
         if not len(t):
             return np.zeros(0)
-        if t[0] < self._last or (t[1:] < t[:-1]).any():
-            raise ValueError("times must be sorted, and not before those of the last call")
         plan = _Plan(self.config, self._shifts, t, self._last)
         acc = plan.evaluate(self.config.scale, self.config.seed, self._carry)
         self._carry = plan.arrays[0][plan.keep]
@@ -567,12 +564,14 @@ def output_keys(config: MechanismConfig) -> list[list[int]]:
 class BatchRunner:
     """Vectorized repeated runs of a fixed configuration at chosen times.
 
-    The runner is one `_Plan` of the distinct sorted times, built once from
-    a fresh engine state, so its keys are those of the requested outputs,
-    each once, and `noise` evaluates it under a whole array of seeds: each
-    seed's column is the noise a `BlockNoise` call, and so `feed`, gives
-    under that seed, bit for bit.  Memory is the plan, O(runs + keys),
-    which `check_plan_budget` bounds before anything is allocated.
+    The times are sorted, repeats allowed, as a `BlockNoise` call takes
+    them (all of [1, T] by default).  The runner is one `_Plan` of them,
+    built once from a fresh engine state, so its keys are those of the
+    requested outputs, each once, and `noise` evaluates it under a whole
+    array of seeds: each seed's column is the noise a `BlockNoise` call,
+    and so `feed`, gives under that seed, bit for bit.  Memory is the plan,
+    O(runs + keys), which `check_plan_budget` bounds before anything is
+    allocated.
     """
 
     def __init__(self, config: MechanismConfig, times=None):
@@ -585,14 +584,10 @@ class BatchRunner:
             times = _check_times(config, times)
             if not len(times):
                 raise ValueError("times must not be empty")
-            check_plan_budget(config, len(times), int(times.max() - times.min()))
+            check_plan_budget(config, len(times), int(times[-1] - times[0]))
         self.times = times
-        # true counts are block sums of the input between consecutive times
-        self._ends, self._rows = np.unique(times, return_inverse=True)
-        self._starts = np.concatenate(([0], self._ends[:-1]))
-        self._plan = _Plan(config, _shifts(config), self._ends, 0)
+        self._plan = _Plan(config, _shifts(config), times, 0)
         self.keys = self._plan.keys
-        self._noise = None
 
     def seeds_per_block(self) -> int:
         """Seeds per `noise` call that keep its arrays within `TRIAL_BLOCK_ELEMENTS`."""
@@ -602,22 +597,17 @@ class BatchRunner:
         """The noise of every output under each of `seeds`, in canonical order.
 
         `seeds` is one seed or an array of them; the result has shape
-        (len(times),) + shape of `seeds`.  The arrays are kept from call to
-        call while the shape of `seeds` stays the same, so the next such
-        call overwrites the result.
+        (len(times),) + shape of `seeds`.  The plan's arrays are kept from
+        call to call while the shape of `seeds` stays the same, so the next
+        such call overwrites the result.
         """
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        if self._noise is None or self._noise.shape[1:] != seeds.shape:
-            self._noise = np.empty((len(self.times), *seeds.shape))
-        # the level-0 runs are the distinct times
-        return np.take(self._plan.evaluate(self.config.scale, seeds, 0.0), self._rows, axis=0,
-                       out=self._noise, mode="clip")
+        # the level-0 runs are the times, a repeated one a run of its own
+        return self._plan.evaluate(self.config.scale, seeds, 0.0)[: len(self.times)]
 
     def run(self, bits, seed: int) -> np.ndarray:
         """Estimates at the selected times for one seeded run."""
         bits = np.asarray(bits)
         if len(bits) != self.config.T:
             raise ValueError(f"input length {len(bits)} != T={self.config.T}")
-        # unique ends keep every segment non-empty; the last ends at max(times)
-        segments = np.add.reduceat(bits[: self._ends[-1]], self._starts, dtype=np.int64)
-        return np.cumsum(segments)[self._rows] + self.noise(seed)
+        counts = np.cumsum(bits[: self.times[-1]], dtype=np.int64)[self.times - 1]
+        return counts + self.noise(check_seed(seed))

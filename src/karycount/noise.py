@@ -80,9 +80,11 @@ def vertex_uniform(seed, index):
 
     Accepts a Python-int pair, which gives a float, or numpy integer arrays,
     which give an array (broadcasting applies).  Seed and index must lie in
-    [0, 2^64); a Python int outside raises `OverflowError`, as numpy does.
+    [0, 2^64); a Python int outside raises `OverflowError`, as numpy does,
+    and so does a negative seed array.  A float or bool seed raises
+    `ValueError`: a cast would hash it as another seed.
     """
-    if isinstance(seed, int) and isinstance(index, int):
+    if type(seed) is int and isinstance(index, int):
         return _uniform_int(seed, index)
     return _scalar_or_array(_uniform_array(seed, index)[0])
 
@@ -95,12 +97,18 @@ def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.nda
     is not copied.
     """
     # array arithmetic wraps silently; only numpy scalars warn on overflow
-    if isinstance(seed, int):
+    if type(seed) is int:
         if not 0 <= seed <= _M64:
             raise OverflowError(f"seed must lie in [0, 2^64), got {seed}")
         s = _U64(_mix64_seed(seed))
     else:
-        s = _mix64(np.array(seed, dtype=np.uint64))
+        s = np.asarray(seed)
+        # a cast to uint64 would take a float, bool or negative seed for another
+        if s.dtype.kind not in "iu":
+            raise ValueError(f"seeds must be integers, got {s.dtype}")
+        if s.dtype.kind == "i" and (s < 0).any():
+            raise OverflowError("seeds must lie in [0, 2^64)")
+        s = _mix64(s.astype(np.uint64))
     index = np.asarray(index, dtype=np.uint64)
     h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64) if work is None else work
     u = np.empty(h.shape) if out is None else out
@@ -137,9 +145,9 @@ def vertex_laplace(scale, seed, index, out=None, work=None):
     drawn alone or in an array.  An array draw goes into `out`, a float64
     array of its shape, with `work`, a uint64 one, as scratch, if given.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
-    if isinstance(seed, int) and isinstance(index, int):
+    if not 0.0 <= scale < math.inf:  # nan too
+        raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
+    if type(seed) is int and isinstance(index, int):
         if scale == 0.0:
             return 0.0
         v = _uniform_int(seed, index) - 0.5
@@ -177,13 +185,17 @@ class CalibrationResult:
 
     @property
     def variance(self) -> float:
-        if self.regime is NoiseRegime.GAUSSIAN:
-            return self.scale_or_sigma**2
-        return 2.0 * self.scale_or_sigma**2
+        """sigma^2 or 2 scale^2; `ValueError` if it overflows or underflows to 0."""
+        s = self.scale_or_sigma
+        var = s * s if self.regime is NoiseRegime.GAUSSIAN else 2.0 * (s * s)
+        if not (math.isfinite(var) and var > 0):
+            flow = "underflows" if var == 0 else "overflows"
+            raise ValueError(f"the variance of the noise scale {s!r} {flow} to {var!r}")
+        return var
 
 
 def check_scale(name: str, value: float) -> float:
-    """`value`, a noise scale; `ValueError` naming it unless finite and > 0.
+    """`value`, a sensitivity or noise scale; `ValueError` naming it unless finite and > 0.
 
     A subnormal epsilon or delta passes a check on its own range, but the
     scale it gives overflows to inf or comes out nan: noise that no longer
@@ -194,24 +206,48 @@ def check_scale(name: str, value: float) -> float:
     return value
 
 
+def check_epsilon(epsilon: float, most: float = math.inf) -> float:
+    """`epsilon`; `ValueError` unless finite and in (0, most].
+
+    An infinite epsilon gives a noise scale of 0: exact counts released as
+    private.
+    """
+    if not (math.isfinite(epsilon) and 0 < epsilon <= most):
+        raise ValueError(f"epsilon = {epsilon!r} must be finite and in (0, {most:.6g}]")
+    return epsilon
+
+
+def check_delta(delta: float) -> float:
+    """`delta`; `ValueError` unless in (0, 1)."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta = {delta!r} must be in (0, 1)")
+    return delta
+
+
+def check_seed(seed, count: int = 1) -> int:
+    """`seed` as an int; `ValueError` unless seeds seed .. seed + count - 1 lie in [0, 2^64).
+
+    The seed is an integer, Python or numpy, and not a bool.
+    """
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= int(seed) <= 2**64 - count):
+        raise ValueError(f"seed must be an integer in [0, 2^64 - {count}], got {seed!r}")
+    return int(seed)
+
+
 def calibrate_pure_laplace(delta1: float, epsilon: float) -> CalibrationResult:
     """Laplace scale delta1/epsilon for pure epsilon-DP."""
-    if not (math.isfinite(delta1) and delta1 > 0):
-        raise ValueError(f"delta1 must be finite and > 0, got {delta1}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_scale("delta1", delta1)
+    check_epsilon(epsilon)
     scale = check_scale("Laplace scale delta1/epsilon", delta1 / epsilon)
     return CalibrationResult(scale, epsilon, 0.0, NoiseRegime.PURE_LAPLACE)
 
 
 def calibrate_gaussian(delta2: float, epsilon: float, delta: float) -> CalibrationResult:
     """Gaussian sigma = delta2 * sqrt(2 ln(1.25/delta)) / epsilon."""
-    if not (math.isfinite(delta2) and delta2 > 0):
-        raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_scale("delta2", delta2)
+    check_epsilon(epsilon, 1.0)
+    check_delta(delta)
     sigma = delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
     check_scale("Gaussian sigma", sigma)
     return CalibrationResult(sigma, epsilon, delta, NoiseRegime.GAUSSIAN)
@@ -223,19 +259,15 @@ def l2_laplace_a(epsilon: float, delta: float) -> float:
     Evaluated as sqrt(2/ln(1/delta)) * epsilon / (sqrt(1 + eps/ln(1/delta)) + 1)
     to avoid the cancellation in sqrt(1+x) - 1 for small epsilon.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    ln1d = math.log(1.0 / delta)
+    check_epsilon(epsilon, 1.0)
+    ln1d = math.log(1.0 / check_delta(delta))
     x = epsilon / ln1d
     return math.sqrt(2.0 * ln1d) * x / (math.sqrt(1.0 + x) + 1.0)
 
 
 def calibrate_l2_laplace(delta2: float, epsilon: float, delta: float) -> CalibrationResult:
     """Laplace scale delta2/a for (epsilon, delta)-DP via l2-sensitivity."""
-    if not (math.isfinite(delta2) and delta2 > 0):
-        raise ValueError(f"delta2 must be finite and > 0, got {delta2}")
+    check_scale("delta2", delta2)
     a = l2_laplace_a(epsilon, delta)  # 0.0 when a subnormal epsilon underflows it
     scale = check_scale("l2-Laplace scale delta2/a", delta2 / a if a > 0 else math.inf)
     return CalibrationResult(scale, epsilon, delta, NoiseRegime.L2_LAPLACE, a_param=a)
@@ -264,14 +296,11 @@ def epsilon_of_laplace(
     The guarantee is derived for lam > delta1; a violation only sets
     `scale_below_delta1`, so parameter sweeps can still see the raw number.
     """
-    if delta1 <= 0 or delta2 < 0:
-        raise ValueError("sensitivities must be positive (delta2 may be 0)")
-    if delta2 > delta1:
-        raise ValueError(f"delta2={delta2} exceeds delta1={delta1}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_scale("delta1", delta1)
+    if not 0 <= delta2 <= delta1:
+        raise ValueError(f"delta2 = {delta2!r} must be in [0, delta1 = {delta1!r}]")
+    check_scale("lambda", lam)
+    check_delta(delta)
     below = lam <= delta1
     pure = delta1 / lam
     l2 = (delta2 / lam) * (delta2 / (2.0 * lam) + math.sqrt(2.0 * math.log(1.0 / delta)))
@@ -294,9 +323,6 @@ def variance_ratio_bound(epsilon: float, delta: float) -> float:
     goes to 0.  Evaluated as (sqrt(1+w) + 1)^2 / 2, the same value, since
     w = (sqrt(1+w) - 1)(sqrt(1+w) + 1): sqrt(1+w) - 1 cancels for small w.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    ln1d = math.log(1.0 / delta)
-    if not 0 < epsilon <= ln1d:
-        raise ValueError(f"epsilon must be in (0, ln(1/delta)={ln1d:.6g}], got {epsilon}")
+    ln1d = math.log(1.0 / check_delta(delta))
+    check_epsilon(epsilon, ln1d)
     return (math.sqrt(1.0 + epsilon / ln1d) + 1.0) ** 2 / 2.0

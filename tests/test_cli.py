@@ -239,6 +239,28 @@ def test_calibrate_variance_that_overflows_is_usage_error(args, monkeypatch, cap
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["--delta1", "1e-320", "--epsilon", "1"],
+    ["--delta2", "1e-320", "--epsilon", "1", "--delta", "1e-6"],
+], ids=" ".join)
+def test_calibrate_variance_that_underflows_is_usage_error(args, monkeypatch, capsys):
+    # each scale is > 0 but its variance underflows: a row with variance 0
+    # was printed, with exit 0
+    code, out, err = run_cli(["calibrate", *args], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "underflows" in err
+    assert out == ""
+
+
+def test_bench_epsilon_whose_square_overflows_is_usage_error(monkeypatch, capsys):
+    # epsilon**2 raised OverflowError, reported as "--k 3 --h 2 is too large to simulate"
+    argv = ["bench", "--epsilon", "1e200", "--trials", "5"]
+    code, out, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "epsilon" in err and "--k" not in err
+    assert out == ""
+
+
 def test_analyze_constants(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["analyze", "constants", "--variant", "offset-odd"],
@@ -897,14 +919,13 @@ BLOCK_CASES = [("plain", 2), ("plain", 3), ("offset-odd", 3), ("offset-odd", 5),
     n=st.integers(1, 100),
     shape=st.sampled_from(["exact", "no --T", "short", "long", "bad token"]),
     flags=st.sampled_from([[], ["--with-true"], ["--zero-noise"], ["--zero-noise", "--with-true"]]),
-    rows=st.integers(1, 9),
     read_bytes=st.integers(1, 40),
     data=st.data(),
 )
-def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, read_bytes, data):
-    # blocks of a few rows and short reads, so that block edges, read edges
-    # and digit carries fall everywhere; both sinks must write the same
-    # bytes, fail the same way, and release the rows of `Mechanism.feed`
+def test_file_release_equals_stdout_release(case, seed, n, shape, flags, read_bytes, data):
+    # short reads, each one engine call of a few rows, so that call edges,
+    # read edges and digit carries fall everywhere; both sinks must write the
+    # same bytes, fail the same way, and release the rows of `Mechanism.feed`
     variant, k = case
     bits = data.draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
     T = n
@@ -914,8 +935,7 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
         assume(n > 1)
         T = data.draw(st.integers(1, n - 1))
     elif shape == "bad token":
-        assume(n > rows)
-        bad = data.draw(st.integers(rows, min(n, 2 * rows) - 1))  # a bit of the second block
+        bad = data.draw(st.integers(0, n - 1))
         bits[bad] = "2"
     argv = ["run", "--variant", variant, "--k", str(k), "--seed", str(seed), *flags]
     if shape != "no --T":
@@ -925,8 +945,7 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, rows, r
     with tempfile.TemporaryDirectory() as tmp:
         path, out_path = Path(tmp) / "bits.txt", Path(tmp) / "rows.csv"
         path.write_text("\n".join(bits) + "\n")
-        with mock.patch.object(cli, "BLOCK_ROWS", rows), \
-                mock.patch.object(cli, "READ_BYTES", read_bytes):
+        with mock.patch.object(cli, "READ_BYTES", read_bytes):
             code, stdout_text, stdout_err = release(argv, path)
             file_code, file_out, file_err = release(argv + ["--output", str(out_path)], path)
         assert (file_code, file_out, file_err) == (code, "", stdout_err)
@@ -1057,7 +1076,8 @@ ARGV = {
     "bench": argv_of(VARIANT, option("--k", ints(3, 4, 5)), option("--h", ints(1, 2)),
                      option("--epsilon", floats(1, 0.5)), given_value("--trials", ints(1, 10)),
                      SEED, switch("--zero-noise")),
-    "calibrate": argv_of(option("--delta1", floats(1, 3, 1e200)), option("--delta2", floats(1, 1e200)),
+    "calibrate": argv_of(option("--delta1", floats(1, 3, 1e200, 1e-320)),
+                         option("--delta2", floats(1, 1e200, 1e-320)),
                          given_value("--epsilon", floats(1, 0.5)),
                          option("--delta", floats(1e-6, 0.1))),
     "analyze": argv_of(st.sampled_from([["constants"], ["crossover"]]), VARIANT,
@@ -1130,5 +1150,8 @@ def test_main_exits_with_a_documented_code_on_any_argv(command, data, input_byte
         assert code in (1, 2) and out.getvalue() == ""
     if code == 0:
         assert finite_problems(released, command, argv) == [], argv
+        if command == "calibrate":  # a scale > 0 has a variance > 0
+            rows = [line for line in released.splitlines() if not line.startswith("#")][1:]
+            assert all(float(row.rsplit(",", 1)[1]) > 0 for row in rows), argv
         hooked = "--zero-noise" in argv or "--with-true" in argv
         assert hooked or "NOT private" not in released

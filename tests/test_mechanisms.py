@@ -172,7 +172,7 @@ def test_batch_runner_equals_feed(variant, k):
         mech = Mechanism(cfg)
         streamed = [mech.feed(b) for b in bits]
         assert BatchRunner(cfg).run(bits, seed).tolist() == streamed
-        times = [2999, 1, 1500, 1, 3000, 17]
+        times = [1, 1, 17, 1500, 2999, 3000]
         got = BatchRunner(cfg, times=times).run(bits, seed).tolist()
         assert got == [streamed[t - 1] for t in times]
 
@@ -183,7 +183,7 @@ def test_batch_runner_noise_of_many_seeds_is_each_run(variant, k, monkeypatch):
     # draws each of the plan's keys once under each seed
     T = 500
     cfg = MechanismConfig(variant, k, T, 1.0)
-    runner = BatchRunner(cfg, times=[T, 1, 250, 250])
+    runner = BatchRunner(cfg, times=[1, 250, 250, T])
     seeds = np.array([[0, 3, 2**64 - 1], [5, 5, 2**63]], dtype=np.uint64)
     draws = []
 
@@ -205,12 +205,12 @@ def test_batch_runner_noise_of_many_seeds_is_each_run(variant, k, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(
     case=st.sampled_from(BATCH_CASES + [(DigitSystem.OFFSET_ODD, 2**10 + 1)]),
-    times=st.lists(st.integers(1, 1000), min_size=1, max_size=60),
+    times=st.lists(st.integers(1, 1000), min_size=1, max_size=60).map(sorted),
     seeds=st.lists(st.sampled_from([0, 7, 2**64 - 1]), min_size=1, max_size=3),
 )
 def test_batch_runner_noise_equals_feed_any_times(case, times, seeds):
     # one plan evaluated under an array of seeds: each seed's column is the
-    # noise `feed` gives under that seed, at unsorted times with repeats
+    # noise `feed` gives under that seed, at sorted times with repeats
     cfg = MechanismConfig(*case, 1000, 1.0)
     got = BatchRunner(cfg, times).noise(np.array(seeds, dtype=np.uint64))
     assert got.shape == (len(times), len(seeds))
@@ -423,12 +423,12 @@ def test_batch_runner_unsorted_duplicate_times():
     cfg = MechanismConfig(DigitSystem.OFFSET_EVEN, 6, T, 1.0)
     bits = np.array(_random_bits(T, 5), dtype=np.int8)
     full = BatchRunner(cfg).run(bits, seed=12)
-    for times in ([77, 3, 150, 3, 1, 77, 77], [150, 149, 2], [5], [200, 1]):
+    for times in ([1, 3, 3, 77, 77, 77, 150], [2, 149, 150], [5], [1, 200]):
         got = BatchRunner(cfg, times=times).run(bits, seed=12)
         # the last time may fall short of T; rows are computed one by one
         assert np.array_equal(got, full[np.array(times) - 1])
     exact = MechanismConfig(DigitSystem.OFFSET_EVEN, 6, T, 1.0, zero_noise=True)
-    times = [9, 190, 9, 40]
+    times = [9, 9, 40, 190]
     assert BatchRunner(exact, times=times).run(bits, seed=0).tolist() == [
         int(bits[:t].sum()) for t in times
     ]
@@ -436,6 +436,10 @@ def test_batch_runner_unsorted_duplicate_times():
         BatchRunner(cfg, times=[])
     for times in ([0], [T + 1], [[1, 2]]):
         with pytest.raises(ValueError):
+            BatchRunner(cfg, times=times)
+    # a plan's level-0 runs are its times in order, as a `BlockNoise` call takes them
+    for times in ([77, 3, 150, 3, 1, 77, 77], [150, 149, 2], [200, 1]):
+        with pytest.raises(ValueError, match="sorted"):
             BatchRunner(cfg, times=times)
     for times in ([2.7], [True], np.array([1.0]), [1, 2.0]):
         with pytest.raises(ValueError, match="integers"):
@@ -482,7 +486,8 @@ def walk_config(case, h: int, data) -> MechanismConfig:
 def test_batch_runner_keys_are_the_walked_keys_any_times(case, h, data):
     # the plan holds each key of the requested outputs once, and no other
     cfg = walk_config(case, h, data)
-    times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=50), label="times")
+    times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=50).map(sorted),
+                      label="times")
     runner = BatchRunner(cfg, times)
     walked = set().union(*(output_keys_at(cfg, t) for t in times))
     assert sorted(runner.keys.tolist()) == sorted(walked)
@@ -504,7 +509,7 @@ def test_each_key_is_one_vertex(case, h, data):
         keys = output_keys(cfg)
         assert all(keys[t - 1] == output_keys_at(cfg, t) for t in times)
     else:
-        times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=300),
+        times = data.draw(st.lists(st.integers(1, cfg.T), min_size=1, max_size=300).map(sorted),
                           label="times")
     vertex = {}
     for t in times:
