@@ -28,9 +28,6 @@ from .analysis import (
     empirical_mse,
     henzinger_bound,
     leading_constant,
-    mse_offset_even,
-    mse_offset_odd,
-    mse_plain,
     optimal_k,
 )
 from .lowerbound import (
@@ -62,9 +59,6 @@ __all__ = [
     "empirical_mse",
     "henzinger_bound",
     "leading_constant",
-    "mse_offset_even",
-    "mse_offset_odd",
-    "mse_plain",
     "optimal_k",
     "BlockCountDistribution",
     "LowerBoundConfig",

@@ -1,10 +1,12 @@
 """Closed-form error analysis and the Monte-Carlo harness.
 
-The closed forms give the exact mean squared error of the tree mechanisms
-at the natural maximum stream length for a given (k, h): the MSE equals the
-average digit weight over [1, T] times the per-vertex variance 2h^2/eps^2.
-The even-arity case has no clean product form and is evaluated through an
-exact vertex-count recursion instead of its leading-order approximation.
+The closed form gives the exact mean squared error of the tree mechanisms
+at the natural maximum stream length T = max_value(variant, k, h): an
+output sums one Laplace draw per vertex, as many as its digit weight, so
+the MSE is the mean digit weight over [1, T] times the per-vertex variance
+2h^2/eps^2.  The systems differ only in their digit range [lo, hi], from
+which `digit_weight_sum` counts the total weight exactly, in one loop over
+the widths.
 """
 
 from __future__ import annotations
@@ -39,72 +41,48 @@ def _epsilon_squared(epsilon: float) -> float:
     return eps2
 
 
-def natural_max_T(variant: DigitSystem, k: int, h: int) -> int:
-    """Largest stream length a height-h tree supports in this variant."""
-    return max_value(variant, k, h)
+def _abs_digit_sum(lo: int, hi: int) -> int:
+    """The sum of |d| over the digits d in [lo, hi], where lo <= 0 <= hi."""
+    return (hi * (hi + 1) + lo * (lo - 1)) // 2
 
 
-def mse_plain(k: int, h: int, epsilon: float) -> float:
-    """(k-1) h^3 / (eps^2 (1 - k^-h)) over T = k^h - 1 outputs."""
-    if k < 2 or h < 1:
-        raise ValueError(f"need k >= 2 and h >= 1; got {(k, h)}")
-    return (k - 1) * h**3 / (_epsilon_squared(epsilon) * (1.0 - k ** (-h)))
+def digit_weight_sum(variant: DigitSystem, k: int, h: int) -> int:
+    """Total digit weight S_h of t = 1 .. max_value(variant, k, h): the vertices all outputs sum.
 
-
-def mse_offset_odd(k: int, h: int, epsilon: float) -> float:
-    """k (1 - 1/k^2) h^3 / (2 eps^2 (1 - k^-h)) over T = (k^h - 1)/2 outputs."""
-    digit_bounds(DigitSystem.OFFSET_ODD, k)
-    if h < 1:
-        raise ValueError(f"need h >= 1; got {h}")
-    eps2 = _epsilon_squared(epsilon)
-    return k * (1.0 - 1.0 / k**2) * h**3 / (2.0 * eps2 * (1.0 - k ** (-h)))
-
-
-def even_vertex_count(k: int, h: int) -> "Fraction":
-    """Total vertices combined over all prefixes a height-h even-k tree supports.
-
-    c_h = ((k+2)/4 + k(h-1)/4) * (k/2) * k^(h-1) + c_(h-1), c_0 = 0.
+    A value's sign is that of its top non-zero digit, so the t of width w
+    are a top digit in [1, hi] over any w - 1 digits in [lo, hi].  Their top
+    digits weigh k^(w-1) hi (hi+1)/2, and each lower place holds each digit
+    hi k^(w-2) times.
     """
-    # imported here: `fractions` loads `decimal`, which `run` never needs
-    from fractions import Fraction
-
-    digit_bounds(DigitSystem.OFFSET_EVEN, k)
-    c = Fraction(0)
-    for height in range(1, h + 1):
-        c += (
-            (Fraction(k + 2, 4) + Fraction(k * (height - 1), 4))
-            * Fraction(k, 2)
-            * k ** (height - 1)
-        )
-    return c
-
-
-def mse_offset_even(k: int, h: int, epsilon: float) -> float:
-    """Exact even-k MSE (c_h / T) * 2h^2/eps^2 over T = k(k^h-1)/(2(k-1)) outputs."""
+    lo, hi = digit_bounds(variant, k)
     if h < 1:
         raise ValueError(f"need h >= 1; got {h}")
-    c = even_vertex_count(k, h)
-    T = natural_max_T(DigitSystem.OFFSET_EVEN, k, h)
-    return float(c / T) * 2.0 * h**2 / _epsilon_squared(epsilon)
+    abs_sum = _abs_digit_sum(lo, hi)
+    total = 0
+    for w in range(1, h + 1):
+        top = k ** (w - 1)
+        total += top * hi * (hi + 1) // 2 + (w - 1) * hi * top // k * abs_sum
+    return total
 
 
 def closed_form_mse(variant: DigitSystem, k: int, h: int, epsilon: float) -> float:
-    if variant is DigitSystem.PLAIN:
-        return mse_plain(k, h, epsilon)
-    if variant is DigitSystem.OFFSET_ODD:
-        return mse_offset_odd(k, h, epsilon)
-    return mse_offset_even(k, h, epsilon)
+    """Exact MSE over the T = max_value(variant, k, h) outputs: (S_h / T) * 2h^2/eps^2.
+
+    S_h / T, a quotient of ints, is correctly rounded.
+    """
+    weight = digit_weight_sum(variant, k, h) / max_value(variant, k, h)
+    return weight * 2.0 * h**2 / _epsilon_squared(epsilon)
 
 
 def leading_constant(variant: DigitSystem, k: int) -> float:
-    """Coefficient of log2(T)^3 / eps^2 in the asymptotic MSE."""
-    digit_bounds(variant, k)  # parity/range check
-    lk3 = math.log2(k) ** 3
-    if variant is DigitSystem.PLAIN:
-        return (k - 1) / lk3
-    if variant is DigitSystem.OFFSET_ODD:
-        return k * (1.0 - 1.0 / k**2) / (2.0 * lk3)
-    return k / (2.0 * lk3)
+    """Coefficient of log2(T)^3 / eps^2 in the asymptotic MSE, 2 mean|d| / log2(k)^3.
+
+    The mean digit weight grows by mean|d| = sum|d| / k a level, and
+    h ~ log2(T) / log2(k).  This order of evaluation gives (k-1)/log2(k)^3
+    for plain digits, k (1 - 1/k^2) / (2 log2(k)^3) for odd offset digits
+    and k / (2 log2(k)^3) for even ones bit for bit, as the tests check.
+    """
+    return k * (2 * _abs_digit_sum(*digit_bounds(variant, k)) / k**2) / math.log2(k) ** 3
 
 
 def optimal_k(variant: DigitSystem, k_min: int, k_max: int) -> tuple[int, float]:
@@ -135,10 +113,16 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
-    """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2."""
+def _check_length(T: int) -> int:
+    """`T`; `ValueError` unless >= 2: at T = 1 the log terms are 0, below it undefined."""
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
+    return T
+
+
+def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
+    """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2."""
+    _check_length(T)
     check_epsilon(epsilon, 1.0)
     check_delta(delta)
     C = (2.0 / epsilon) * math.sqrt(4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / delta))
@@ -162,9 +146,7 @@ class CrossoverReport:
 
     def delta_threshold(self, T: int) -> float:
         """delta below which the pure leading term is no worse: T^(-exponent)."""
-        if T < 2:
-            raise ValueError(f"T must be >= 2, got {T}")
-        return T ** (-self.exponent)
+        return _check_length(T) ** (-self.exponent)
 
 
 def crossover(variant: DigitSystem, k: int) -> CrossoverReport:
@@ -178,12 +160,14 @@ def crossover(variant: DigitSystem, k: int) -> CrossoverReport:
 
 def pure_leading_term(variant: DigitSystem, k: int, T: int, epsilon: float) -> float:
     """B_eps * log2(T)^3 / eps^2."""
+    _check_length(T)
     term = leading_constant(variant, k) * math.log2(T) ** 3 / _epsilon_squared(epsilon)
     return _finite("pure leading term", term)
 
 
 def approx_leading_term(T: int, epsilon: float, delta: float) -> float:
     """B_eps_delta * log2(T)^2 * log2(1/delta) / eps^2: the Gaussian bound's leading term."""
+    _check_length(T)
     eps2 = _epsilon_squared(epsilon)
     term = B_EPS_DELTA * math.log2(T) ** 2 * math.log2(1.0 / check_delta(delta)) / eps2
     return _finite("approximate-DP leading term", term)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, lowerbound, noise
-from .digits import DigitSystem
+from .digits import DigitSystem, max_value
 from .mechanisms import BlockNoise, MechanismConfig, check_int64
 
 EXIT_OK = 0
@@ -358,7 +358,7 @@ def cmd_bench(args, out) -> int:
     if args.h > 63:  # k >= 2, so k^h > 2^63 - 1; k**h itself would not end
         raise UsageError(f"--h {args.h}: times and vertex keys do not fit in int64")
     try:
-        T = analysis.natural_max_T(variant, args.k, args.h)
+        T = max_value(variant, args.k, args.h)
         cfg = MechanismConfig(
             variant=variant, k=args.k, T=T, epsilon=args.epsilon,
             seed=seed, zero_noise=args.zero_noise,

@@ -10,9 +10,10 @@ first:
 The l1-weight of a representation equals the number of tree vertices that a
 prefix-sum mechanism combines for that time step, which is why these
 systems drive both the mechanisms and the error analysis.  This module
-holds their digit ranges and largest values; the mechanisms read the digits
-of a time arithmetically (`Mechanism.feed` as a counter, `BlockNoise` from
-the shifted time's plain base-k digits).
+holds their digit ranges, the only place that tells the systems apart, and
+their largest values; the mechanisms read the digits of a time
+arithmetically (`Mechanism.feed` as a counter, `BlockNoise` from the
+shifted time's plain base-k digits).
 """
 
 from __future__ import annotations
@@ -44,13 +45,8 @@ def digit_bounds(system: DigitSystem, k: int) -> tuple[int, int]:
 
 
 def max_value(system: DigitSystem, k: int, w: int) -> int:
-    """Largest integer representable with w digits in the given system."""
-    lo, hi = digit_bounds(system, k)
+    """Largest integer of w digits: every digit at its highest, hi (k^w - 1)/(k - 1)."""
+    hi = digit_bounds(system, k)[1]
     if w < 1:
         raise ValueError(f"width must be >= 1, got {w}")
-    if system is DigitSystem.PLAIN:
-        return k**w - 1
-    if system is DigitSystem.OFFSET_ODD:
-        return (k**w - 1) // 2
-    # all digits at k/2: (k/2) * (k^w - 1) / (k - 1)
-    return (k // 2) * ((k**w - 1) // (k - 1))
+    return hi * (k**w - 1) // (k - 1)

@@ -81,12 +81,29 @@ def vertex_uniform(seed, index):
     Accepts a Python-int pair, which gives a float, or numpy integer arrays,
     which give an array (broadcasting applies).  Seed and index must lie in
     [0, 2^64); a Python int outside raises `OverflowError`, as numpy does,
-    and so does a negative seed array.  A float or bool seed raises
-    `ValueError`: a cast would hash it as another seed.
+    and so does a negative seed or index array.  A float or bool seed or
+    index raises `ValueError`: a cast would hash it as another integer.
     """
-    if type(seed) is int and isinstance(index, int):
+    if type(seed) is int and type(index) is int:
         return _uniform_int(seed, index)
     return _scalar_or_array(_uniform_array(seed, index)[0])
+
+
+def _integers(name: str, values) -> np.ndarray:
+    """`values` as an integer array, to be cast to uint64.
+
+    A cast would take a float, bool or negative value for another integer,
+    so a float or bool array raises `ValueError` and a negative one
+    `OverflowError`, as a Python int outside [0, 2^64) does.
+    """
+    if type(values) is int:
+        return np.asarray(values, dtype=np.uint64)
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {a.dtype}")
+    if a.dtype.kind == "i" and (a < 0).any():
+        raise OverflowError(f"{name} must lie in [0, 2^64)")
+    return a
 
 
 def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
@@ -97,19 +114,9 @@ def _uniform_array(seed, index, out=None, work=None) -> tuple[np.ndarray, np.nda
     is not copied.
     """
     # array arithmetic wraps silently; only numpy scalars warn on overflow
-    if type(seed) is int:
-        if not 0 <= seed <= _M64:
-            raise OverflowError(f"seed must lie in [0, 2^64), got {seed}")
-        s = _U64(_mix64_seed(seed))
-    else:
-        s = np.asarray(seed)
-        # a cast to uint64 would take a float, bool or negative seed for another
-        if s.dtype.kind not in "iu":
-            raise ValueError(f"seeds must be integers, got {s.dtype}")
-        if s.dtype.kind == "i" and (s < 0).any():
-            raise OverflowError("seeds must lie in [0, 2^64)")
-        s = _mix64(s.astype(np.uint64))
-    index = np.asarray(index, dtype=np.uint64)
+    s = _integers("seeds", seed)
+    s = _U64(_mix64_seed(seed)) if type(seed) is int else _mix64(s.astype(np.uint64))
+    index = _integers("indices", index).astype(np.uint64, copy=False)
     h = np.empty(np.broadcast(s, index).shape, dtype=np.uint64) if work is None else work
     u = np.empty(h.shape) if out is None else out
     # the operands are broadcast, and the hash is cast, by assignment, which
@@ -147,7 +154,7 @@ def vertex_laplace(scale, seed, index, out=None, work=None):
     """
     if not 0.0 <= scale < math.inf:  # nan too
         raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
-    if type(seed) is int and isinstance(index, int):
+    if type(seed) is int and type(index) is int:
         if scale == 0.0:
             return 0.0
         v = _uniform_int(seed, index) - 0.5

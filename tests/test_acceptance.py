@@ -22,7 +22,6 @@ from karycount.analysis import (
     crossover,
     empirical_mse,
     leading_constant,
-    natural_max_T,
     optimal_k,
     pure_leading_term,
 )
@@ -96,7 +95,7 @@ def test_criterion_2_monte_carlo_mse():
     details = []
     ok = True
     for variant, k, expected in cases:
-        T = natural_max_T(variant, k, 2)
+        T = max_value(variant, k, 2)
         cfg = MechanismConfig(variant, k, T, 1.0)
         rep = empirical_mse(cfg, trials=200_000, seed=0)
         tol = max(3.0 * rep.standard_error, 0.05 * expected)
@@ -218,7 +217,10 @@ def test_criterion_5_offset_even_constant():
     # 0.1238704.  The evidence that 0.1238704 is right:
     # - the exact per-level slope of the mean digit weight reaches k/4 = 5
     #   to within 1e-15 by h = 13;
-    # - even_vertex_count equals the enumerated key walk at k=20, h <= 3;
+    # - `closed_form_mse` is the reference's counted digit weights over
+    #   [1, T] (`karyref.weight_sum`) bit for bit, in a property test over
+    #   k <= 64 and h <= 12 (tests/test_analysis.py), and the enumerated key
+    #   walk at even k <= 8, h <= 4 (criterion 1);
     # - the exact MSE * eps^2 / log2(T)^3 falls toward it from above
     #   (0.12560 at h=50, 0.12404 at h=500, 0.12389 at h=5000);
     # - no other even k lies near 0.1238 (k=18: 0.12412, k=22: 0.12404).

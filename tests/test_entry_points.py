@@ -55,9 +55,6 @@ VALID = {
                                  {"delta2": [math.nextafter(3.0, inf)]}),
     "noise.variance_ratio_bound": (dict(epsilon=0.5, delta=1e-6),
                                    {"epsilon": [math.nextafter(math.log(1e6), inf)]}),
-    "analysis.mse_plain": (dict(k=2, h=3, epsilon=0.5), SQUARE_EDGES),
-    "analysis.mse_offset_odd": (dict(k=3, h=3, epsilon=0.5), SQUARE_EDGES),
-    "analysis.mse_offset_even": (dict(k=4, h=3, epsilon=0.5), SQUARE_EDGES),
     "analysis.closed_form_mse": (dict(variant=DigitSystem.PLAIN, k=2, h=3, epsilon=0.5),
                                  SQUARE_EDGES),
     "analysis.henzinger_bound": (dict(T=1024, epsilon=0.5, delta=1e-6), {"epsilon": [ONE_UP]}),

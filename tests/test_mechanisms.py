@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from karycount import mechanisms
-from karycount.analysis import natural_max_T
 from karycount.digits import DigitSystem, max_value
 from karycount.lowerbound import LowerBoundConfig
 from karycount.mechanisms import (
@@ -644,7 +643,7 @@ def test_noise_is_unbiased_with_correct_variance():
 @pytest.mark.parametrize("variant,k", VARIANT_ARITIES)
 def test_sensitivity_audit_exactly_height(variant, k):
     # and at the natural maximum T of heights 1..4, the full tree of each
-    for T in (17, 100, *(natural_max_T(variant, k, h) for h in (1, 2, 3, 4))):
+    for T in (17, 100, *(max_value(variant, k, h) for h in (1, 2, 3, 4))):
         cfg = MechanismConfig(variant, k, T, 1.0)
         audit = sensitivity_audit(cfg)
         assert audit.max_count == cfg.height

@@ -229,3 +229,32 @@ def test_vertex_uniform_int_path_rejects_out_of_range(seed, index):
         vertex_uniform(seed, index)
     with pytest.raises(OverflowError):
         vertex_laplace(1.0, seed, index)
+
+
+@pytest.mark.parametrize(
+    "index", [np.array([1.7]), np.array([2.5]), True, 1.0, np.array([True]), np.float64(2.0)]
+)
+def test_non_integer_index_is_refused(index):
+    # a cast to uint64 hashed each as another index: 1.7 and 1.0 as 1, 2.5 as 2, True as 1
+    with pytest.raises(ValueError, match="integers"):
+        vertex_uniform(1, index)
+    with pytest.raises(ValueError, match="integers"):
+        vertex_laplace(1.0, 1, index)
+
+
+@pytest.mark.parametrize("index", [np.array([-1]), np.array([3, -1], dtype=np.int8), np.int64(-1)])
+def test_negative_index_array_is_refused(index):
+    # a cast read -1 as 2^64 - 1, silently, where the int -1 raises
+    with pytest.raises(OverflowError):
+        vertex_uniform(1, index)
+    with pytest.raises(OverflowError):
+        vertex_laplace(1.0, np.array([1], dtype=np.uint64), index)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+def test_int64_and_uint64_indices_draw_alike(seed, keys):
+    # both dtypes draw the reference's Laplace value of each key, bit for bit
+    want = np.array([karyref.laplace(1.5, seed, p) for p in keys])
+    for dtype in (np.int64, np.uint64):
+        got = vertex_laplace(1.5, seed, np.array(keys, dtype=dtype))
+        assert got.tobytes() == want.tobytes()
