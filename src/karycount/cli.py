@@ -367,7 +367,8 @@ def cmd_bench(args, out) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     except (OverflowError, MemoryError) as exc:
-        raise UsageError(f"--k {args.k} --h {args.h} is too large to simulate: {exc}")
+        # the plan grows with k^h, the per-trial array with --trials
+        raise UsageError(f"--k {args.k} --h {args.h} --trials {args.trials} is too large to simulate: {exc}")
     out.write(f"# seed={seed}\n")
     out.write("variant,k,h,T,epsilon,trials,empirical_mse,se,closed_form\n")
     out.write(

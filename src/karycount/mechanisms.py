@@ -165,10 +165,11 @@ class Mechanism:
         needs each estimate before its next bit: one step draws only its new
         vertices, one scalar splitmix64 draw each, and re-adds only the
         level sums at or below its carry.  Measured in the same hour on a
-        2-core x86-64 VM (Python 3.11, numpy 2.4; 2,000 steps, five
-        repeats, plain k=2 and offset-odd k=19 at T=1e5), a step took
-        3.6-7.2 us against 350-445 us for a one-row `BlockNoise` call,
-        which makes a few dozen numpy calls whatever its size.  The tests
+        2-core x86-64 VM (Python 3.11, numpy 2.4; the median of 2,000 steps
+        in each of three processes, plain k=2 and offset-odd k=19 at
+        T=1e5), a step took 2.5-5.8 us against 168-214 us for a one-row
+        `BlockNoise` call, which makes a few dozen numpy calls whatever its
+        size.  The tests
         pin `BlockNoise` and `BatchRunner` to it bit for bit.
         """
         if type(x) is not int or (x != 0 and x != 1):
@@ -260,9 +261,9 @@ def check_plan_budget(config: MechanismConfig, rows: int, span: int) -> None:
 def _check_times(config: MechanismConfig, times, first: int = 1) -> np.ndarray:
     """`times`, sorted integers in [first, T], as a one-dimensional int64 array.
 
-    Repeated times are allowed.  `check_int64` comes first.
+    Repeated times are allowed.  Each engine calls `check_int64` once, when
+    it is built.
     """
-    check_int64(config)
     t = np.asarray(times)
     # a float would be truncated to another time, and a bool read as 0 or 1
     if t.ndim != 1 or t.size and t.dtype.kind not in "iu":
@@ -339,24 +340,22 @@ class _Plan:
     base - j*k^l (d < 0), j = 1..|d|, where base is its parent row's.  A
     row's digits never decrease, so a row walks at most two lanes: its +
     side past j0, the carried digit if the row goes on from the state (its
-    base is the carried one), up to its last digit; and the - side of a new
-    base down to its first digit.  Each walked key that no earlier call drew
-    is in one lane, once.
+    base is the carried one), up to its last digit; and its - side down to
+    its first digit.  A row that goes on with j0 = 0 draws its - side again,
+    as a new base does: at most m = -lo keys a level, the largest magnitude
+    of a negative digit.  Within a call each key is in one lane, once.
 
     The lanes, longest first, are laid out slot by slot: slot j holds key j
     of every lane that has one, so the slots that the same lanes have form
     a regular slots x lanes grid, a stretch.  After the lanes come the
-    carried state, at each level its + sum at j0 and its - sums at j = 1..m
-    (m = -lo, the largest magnitude of a negative digit), and one 0.0, so
-    each run's level sum is one gather: a lane slot, a carried sum, or the
-    0.0 of a digit of 0.  Only the runs of a level's first row read the
-    carried state.
+    carried state, each level's + sum at j0, and one 0.0, so each run's
+    level sum is one gather: a lane slot, a carried sum (a digit of j0 > 0
+    in a row that goes on), or the 0.0 of a digit of 0.
     """
 
     def __init__(self, config: MechanismConfig, shifts, t: np.ndarray, last: int):
         h = config.height
         lo, pows, shift = shifts
-        m = -lo
         # the last time's digits at every level are those of q
         q = (last + shift[0]) // pows
         base0 = q[1:] * pows[1:] - shift[1:]
@@ -370,16 +369,14 @@ class _Plan:
         # row i's children are the runs bound[i] .. bound[i + 1] - 1
         bound = np.append(np.flatnonzero(first), n)
         del first  # the dels free arrays early, for the peak memory
-        offh = np.array(off[:h])
-        top = row[offh]  # the first row of each level, at level l + 1
+        top = row[off[:h]]  # the first row of each level, at level l + 1
         goes_on = base[top] == base0
         jrow = np.zeros(rows, dtype=np.int64)
         jrow[top] = j0 * goes_on
-        # lane i is row i's - side, down to its first digit if its base is
-        # new, and lane rows + i its + side, from jrow[i] up to its last digit
+        # lane i is row i's - side, down to its first digit, and lane
+        # rows + i its + side, from jrow[i] up to its last digit
         length = np.empty(2 * rows, dtype=np.int64)
         np.negative(d[bound[:-1]], out=length[:rows])
-        length[top[goes_on]] = 0
         np.take(d, bound[1:] - 1, out=length[rows:])
         np.maximum(length, 0, out=length)
         length[rows:] -= jrow
@@ -390,7 +387,7 @@ class _Plan:
         # is at slot[0], and each lane's slot j at slot[j] + its rank
         lanes = np.cumsum(np.bincount(length)[:0:-1])[::-1]
         nkeys = int(length.sum())
-        self.size = nkeys + h * (m + 1) + 1  # lanes, carried state and the 0.0
+        self.size = nkeys + h + 1  # lanes, each level's carried + sum and the 0.0
         zero = self.size - 1
         slot = np.concatenate(([zero, 0], np.cumsum(lanes)))
         # stretches (start, lanes, slots): the slots that the same lanes have
@@ -404,7 +401,7 @@ class _Plan:
         step = pows[plevel[lane] - 1]
         step[minus] *= -1
         start = jrow[lane] * step + base[lane]
-        del lane, minus, plevel, base
+        del lane, minus, base
         keys = np.empty(nkeys, dtype=np.int64)
         j = 1
         for at, count, slots in self.stretches:
@@ -413,41 +410,31 @@ class _Plan:
             j += slots
         self.keys = keys.view(np.uint64)
         del start, step
-        # each run's level sum: slot |d| of its lane, the 0.0 for d = 0, ...
+        # each run's level sum: slot |d| - jrow of its lane, the 0.0 for
+        # d = 0, or the carried + sum of its level for d = j0 > 0 in a row
+        # that goes on (repeated times give several such runs)
         self.gather = np.full(n + 1, zero)
-        np.abs(d, out=self.gather[:n])
-        np.take(slot, self.gather[:n], out=self.gather[:n], mode="clip")
-        lane = np.where(d > 0, rows, 0)
+        c = self.gather[:n]
+        np.abs(d, out=c)
+        c -= jrow[row]
+        plus = d > 0
+        at = np.flatnonzero((c == 0) & plus)
+        np.take(slot, c, out=c, mode="clip")
+        lane = np.where(plus, rows, 0)
+        del plus
         lane += row
-        self.gather[:n] += np.take(rank, lane, out=lane)
-        del lane
+        c += np.take(rank, lane, out=lane)
+        del lane, c
         np.minimum(self.gather, zero, out=self.gather)
-        # ... or, for the runs of a level's first row if it goes on, the
-        # carried + sum if d <= j0 and the carried - sums if d < 0
-        count = (bound[top + 1] - offh) * goes_on
-        lvl = np.repeat(np.arange(h), count)
-        runs = np.repeat(offh - np.cumsum(count) + count, count)
-        runs += np.arange(len(runs))
-        dr = d[runs]
-        c = dr - jrow[top[lvl]]
-        self.gather[runs] = np.where(c > 0, np.take(slot, c, mode="clip") + rank[top[lvl] + rows],
-                                     nkeys + lvl * (m + 1) + np.maximum(-dr, 0))
-        # the state left: at each level the + sum at its last digit (or the
-        # 0.0), and the - sums of its last row's base, drawn here if new
+        self.gather[at] = nkeys - 1 + plevel[row[at]]
+        del at, plevel
+        # the state left: at each level the + sum at its last digit, or the 0.0
         final = np.array(off[1 : h + 1]) - 1
-        keep = np.empty((h, m + 1), dtype=np.int64)
-        keep[:, 0] = np.where(d[final] > 0, self.gather[final], zero)
-        if m:  # digits can be negative, so a base can have a - side
-            last_row = row[final, None]
-            down = length[last_row]
-            j = np.arange(1, m + 1)
-            keep[:, 1:] = np.where(down > 0, slot[np.minimum(j, down)] + rank[last_row],
-                                   nkeys + np.arange(h)[:, None] * (m + 1) + j)
-        self.keep = np.append(keep, zero)
+        self.keep = np.append(np.where(d[final] > 0, self.gather[final], zero), zero)
         # the levels whose first row's + side goes on from the carried j0
         onto = np.flatnonzero(length[top + rows] * jrow[top] > 0)
         self.onto = rank[top[onto] + rows]
-        self.carried = nkeys + onto * (m + 1)
+        self.carried = nkeys + onto
         self.arrays = None
 
     def evaluate(self, scale: float, seeds, carry) -> np.ndarray:
@@ -520,10 +507,14 @@ class BlockNoise:
 
     A call is a `_Plan` of its times from the state the last call left,
     evaluated under the config's seed.  Each level carries its base, its
-    digit and its running sums from call to call, so a call draws only the
-    walked keys that no earlier call drew: over a stream of calls each key
-    is drawn once, as `feed` draws it, and the cost of a call does not grow
-    with t, however wide the tree.  No key is sorted or searched.
+    digit and one running sum, the + sum at that digit, from call to call:
+    h + 1 values with the 0.0.  A call draws the walked keys that no earlier
+    call drew, and again the - side of a row it goes on with, down to that
+    row's first digit in the call, at most h*m keys (m = -lo), each the same
+    pure function of (seed, key) summed in the same order, so the outputs
+    are `feed`'s bit for bit.  With no negative digit each key is drawn
+    once.  A call's cost follows its runs and the keys they walk, not t.
+    No key is sorted or searched.
     """
 
     def __init__(self, config: MechanismConfig):
@@ -575,9 +566,9 @@ class BatchRunner:
     """
 
     def __init__(self, config: MechanismConfig, times=None):
+        check_int64(config)
         self.config = config
         if times is None:
-            check_int64(config)
             check_plan_budget(config, config.T, config.T - 1)
             times = np.arange(1, config.T + 1, dtype=np.int64)
         else:

@@ -261,6 +261,16 @@ def test_bench_epsilon_whose_square_overflows_is_usage_error(monkeypatch, capsys
     assert out == ""
 
 
+def test_bench_trials_too_many_to_hold_name_trials(monkeypatch, capsys):
+    # the per-trial array of 10^13 trials cannot be allocated: the message
+    # blamed only --k and --h
+    argv = ["bench", "--trials", str(10**13)]
+    code, out, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage error:") and "--trials" in err
+    assert out == ""
+
+
 def test_analyze_constants(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["analyze", "constants", "--variant", "offset-odd"],

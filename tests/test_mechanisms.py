@@ -21,6 +21,7 @@ from karycount.mechanisms import (
 )
 from karycount.noise import vertex_laplace
 from karyref import (
+    digit_bounds,
     encode,
     laplace,
     output_keys_at,
@@ -339,22 +340,41 @@ def test_block_noise_memory_does_not_grow_with_height():
     assert peak < cfg.height * 4096 * 8
 
 
-@pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.OFFSET_ODD, 2**10 + 1)]
-                         + BATCH_CASES)
-def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
-    # a call draws only the walked keys its carried state lacks: over sorted
-    # times with repeats and gaps, cut into calls at random places, some
-    # empty, and over one-row calls at every t, as from a producer that sends
-    # one bit at a time, the draws are the distinct keys of the times' walks,
-    # each once, on trees wider than a call too; checked against `feed` bit
-    # for bit
+@pytest.mark.parametrize("variant,k", [(DigitSystem.OFFSET_ODD, 2**20 + 1), (DigitSystem.OFFSET_EVEN, 2**20)])
+def test_block_noise_call_cost_follows_rows_not_arity(variant, k):
+    # the state carried between calls is one + sum per level, not the - sums
+    # of a level's m = -lo negative digits: after a 4,999-row call, a one-row
+    # call on a tree of about 2^19 negative digits a level peaks at a few KiB
+    cfg = MechanismConfig(variant, k, 10**6, 1.0, seed=3)
+    assert cfg.height == 2
+    engine = BlockNoise(cfg)
+    engine(np.arange(1, 5000))
+    tracemalloc.start()
+    try:
+        engine([5000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _check_wide_tree_draws(variant, k, monkeypatch):
+    # a call carries one + sum per level and draws the walked keys it lacks:
+    # over sorted times with repeats and gaps, cut into calls at random
+    # places, some empty, and over one-row calls at every t, as from a
+    # producer that sends one bit at a time, the draws are the distinct keys
+    # of the times' walks, on trees wider than a call too; a key is drawn
+    # again only on the - side of a row that a call goes on with, at most
+    # h*m of them a call (m = -lo); checked against `feed` bit for bit
     T = 3000
     rng = np.random.default_rng(k)
     times = np.sort(rng.integers(1, T + 1, 600))
     cut = np.split(times, np.sort(rng.integers(0, len(times) + 1, 40)))
     cfg = MechanismConfig(variant, k, T, 1.0, seed=5)
     noise = _fed_noise(variant, k, T, 5)
-    walks = {t: output_keys_at(cfg, t) for t in range(1, T + 1)}
+    walks = {t: list(walk_at(cfg, t)) for t in range(1, T + 1)}
+    minus = {key for walk in walks.values() for _, p, key in walk if key < p}
+    m = -digit_bounds(variant, k)[0]
     drawn = []
 
     def counted(scale, seed, keys, **arrays):
@@ -363,12 +383,32 @@ def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
 
     monkeypatch.setattr(mechanisms, "vertex_laplace", counted)
     for calls in (cut, [[t] for t in range(1, T + 1)]):
-        drawn.clear()
         engine = BlockNoise(cfg)
-        got = np.concatenate([engine(part) for part in calls])
+        got, seen = [], set()
+        for part in calls:
+            drawn.clear()
+            got.append(engine(part))
+            assert len(set(drawn)) == len(drawn)
+            again = seen.intersection(drawn)
+            assert again <= minus
+            assert len(again) <= cfg.height * m
+            seen.update(drawn)
         called = np.concatenate(calls).tolist()
-        assert got.tolist() == [noise[t - 1] for t in called]
-        assert sorted(drawn) == sorted(set().union(*(walks[t] for t in called)))
+        assert np.concatenate(got).tolist() == [noise[t - 1] for t in called]
+        assert seen == {key for t in called for _, _, key in walks[t]}
+
+
+@pytest.mark.parametrize("variant,k", [(DigitSystem.PLAIN, 2**20), (DigitSystem.PLAIN, 2),
+                                       (DigitSystem.PLAIN, 3)])
+def test_block_noise_draws_each_key_once_on_wide_trees(variant, k, monkeypatch):
+    # with no negative digit (m = 0) no key is drawn twice
+    _check_wide_tree_draws(variant, k, monkeypatch)
+
+
+@pytest.mark.parametrize("variant,k", [(DigitSystem.OFFSET_ODD, 2**10 + 1)]
+                         + [case for case in BATCH_CASES if case[0] is not DigitSystem.PLAIN])
+def test_block_noise_redraws_only_minus_keys(variant, k, monkeypatch):
+    _check_wide_tree_draws(variant, k, monkeypatch)
 
 
 def test_block_noise_bounds():
