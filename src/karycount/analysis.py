@@ -19,7 +19,7 @@ import numpy as np
 from .digits import DigitSystem, digit_bounds, max_value
 from .mechanisms import BatchRunner, MechanismConfig
 from .mechanisms import output_keys  # noqa: F401 -- unused; perfbench/layers.py patches this name
-from .noise import check_delta, check_epsilon, check_seed
+from .noise import check_delta, check_epsilon, check_seed, check_trials
 from .noise import vertex_laplace  # noqa: F401 -- unused; perfbench/layers.py patches this name
 
 LOG2E = math.log2(math.e)
@@ -121,7 +121,16 @@ def _check_length(T: int) -> int:
 
 
 def henzinger_bound(T: int, epsilon: float, delta: float) -> float:
-    """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2."""
+    """Gaussian factorization MSE bound C^2 (1 + ln(4T/5)/pi)^2.
+
+    This understates the error of the mechanism it models, the square-root
+    factorization of Henzinger, Upadhyay & Upadhyay (SODA 2023): its
+    largest variance is C^2 S_T^2, with S_T = sum_{j<T} f_j^2 and
+    f_j = C(2j, j)/4^j, and S_T exceeds 1 + ln(4T/5)/pi at every T in
+    [2, 2^24] (S_2 = 1.25 against 1.1496, S_{2^20} = 5.4790 against
+    5.3417).  S_T = (ln T + gamma + 4 ln 2)/pi + O(1/T), so the leading
+    term, and the crossover exponent, are the same.
+    """
     _check_length(T)
     check_epsilon(epsilon, 1.0)
     check_delta(delta)
@@ -196,8 +205,7 @@ def empirical_mse(config: MechanismConfig, trials: int, seed: int | None = None)
     The closed form is reported at the variant's natural maximum T for the
     config's height.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     base_seed = check_seed(config.seed if seed is None else seed, trials)
     h = config.height
     # before any trial: it rejects an epsilon whose square underflows or overflows

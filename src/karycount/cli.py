@@ -8,7 +8,9 @@ line, so a usage error leaves it as it was), 3 bench acceptance failure,
 141 the reader of stdout went away (128 + SIGPIPE, as a shell reports a
 process killed by that signal).  `run` releases the rows of each read of
 input in one call of `mechanisms.BlockNoise`, equal bit for bit to
-`Mechanism.feed`; on stdout they are flushed before the next read.
+`Mechanism.feed`, formats them in numpy with the bytes of `%`
+(`rows.row_bytes`) and writes those bytes to the binary layer of the
+named file or of stdout; on stdout they are flushed before the next read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import analysis, lowerbound, noise
 from .digits import DigitSystem, max_value
 from .mechanisms import BlockNoise, MechanismConfig, check_int64
+from .rows import row_bytes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,22 +194,27 @@ def _line_breaks(text: bytes) -> int:
 
 
 class _Output:
-    """A named output file, opened, and so truncated, at its first write.
+    """A named output file, opened in binary mode, and so truncated, at its first write.
 
     A command writes its first line only once its arguments are valid, so
-    a usage error leaves the file as it was.
+    a usage error leaves the file as it was.  Text is written as UTF-8;
+    `buffer` is the file itself, which takes bytes.
     """
 
     def __init__(self, path: str):
         self.path, self.file = path, None
 
-    def write(self, text: str) -> int:
+    @property
+    def buffer(self):
         if self.file is None:
             try:
-                self.file = open(self.path, "w")
+                self.file = open(self.path, "wb")
             except OSError as exc:
                 raise DataError(f"cannot write output {self.path}: {exc}")
-        return self.file.write(text)
+        return self.file
+
+    def write(self, text: str) -> int:
+        return self.buffer.write(text.encode())
 
     def flush(self) -> None:
         if self.file is not None:
@@ -305,18 +313,32 @@ def cmd_run(args, out) -> int:
         out.write("# with-true: true prefix sums included, NOT private\n")
     header = "t,estimate,true" if args.with_true else "t,estimate"
     out.write(header + "\n")
-    if _release_blocks(cfg, chunks, out, args.with_true) == 0:
+    if _release_blocks(cfg, chunks, _row_writer(out), args.with_true) == 0:
         raise DataError("empty input stream")
     out.flush()
     return EXIT_OK
 
 
-def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
+def _row_writer(out):
+    """write(t, est, counts) of a block's rows, as `format_rows` lays them out, to `out`.
+
+    The rows go to `out.buffer`, looked up now, as the bytes of
+    `row_bytes`, once the text written before them is flushed.  A text
+    stream with no `.buffer`, standing in for stdout, gets their text.
+    """
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        return lambda *block: out.write(format_rows(*block))
+    out.flush()
+    return lambda *block: buffer.write(row_bytes(*block))
+
+
+def _release_blocks(cfg: MechanismConfig, chunks, write, with_true: bool) -> int:
     """Write one row per input bit, the rows of a chunk at a time; return the rows.
 
     A chunk's rows are the true counts plus the next call of one
-    `BlockNoise`, which equals `Mechanism.feed` bit for bit, formatted by
-    `format_rows` in one write.
+    `BlockNoise`, which equals `Mechanism.feed` bit for bit, handed to
+    `write` (of `_row_writer`) in one call.
     """
     engine = BlockNoise(cfg)
     t = true_sum = 0
@@ -328,7 +350,7 @@ def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
             counts = np.cumsum(bits[:n] - 48, dtype=np.int64)
             counts += true_sum
             est = counts + engine(times)
-            out.write(format_rows(t, est, counts if with_true else None))
+            write(t, est, counts if with_true else None)
             t, true_sum = t + n, int(counts[-1])
         if n < len(bits):
             raise DataError(f"input longer than --T {cfg.T}")
@@ -338,18 +360,10 @@ def _release_blocks(cfg: MechanismConfig, chunks, out, with_true: bool) -> int:
 def format_rows(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> str:
     """CSV rows t+1, t+2, ... of the estimates (and true counts), by `fmt`'s rule.
 
-    One `%` over the interleaved columns: `%.17g` of a float is `fmt`'s
-    `.17g`, and `%d` of an int its `str`.
+    The text of `rows.row_bytes`, which `run` writes to a text stream with
+    no binary layer, such as one standing in for stdout.
     """
-    n = len(est)
-    width = 2 if counts is None else 3
-    cells = [None] * (width * n)
-    cells[0::width] = range(t + 1, t + n + 1)
-    cells[1::width] = est.tolist()
-    if counts is not None:
-        cells[2::width] = counts.tolist()
-    row = "%d,%.17g\n" if counts is None else "%d,%.17g,%d\n"
-    return (row * n) % tuple(cells)
+    return row_bytes(t, est, counts).decode()
 
 
 def cmd_bench(args, out) -> int:
@@ -358,6 +372,7 @@ def cmd_bench(args, out) -> int:
     if args.h > 63:  # k >= 2, so k^h > 2^63 - 1; k**h itself would not end
         raise UsageError(f"--h {args.h}: times and vertex keys do not fit in int64")
     try:
+        noise.check_trials(args.trials, "--trials")
         T = max_value(variant, args.k, args.h)
         cfg = MechanismConfig(
             variant=variant, k=args.k, T=T, epsilon=args.epsilon,
@@ -367,7 +382,7 @@ def cmd_bench(args, out) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     except (OverflowError, MemoryError) as exc:
-        # the plan grows with k^h, the per-trial array with --trials
+        # the plan grows with k^h, the per-trial array with --trials (80 MB at 10^7)
         raise UsageError(f"--k {args.k} --h {args.h} --trials {args.trials} is too large to simulate: {exc}")
     out.write(f"# seed={seed}\n")
     out.write("variant,k,h,T,epsilon,trials,empirical_mse,se,closed_form\n")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .digits import DigitSystem
 from .mechanisms import BatchRunner, MechanismConfig
-from .noise import check_seed
+from .noise import check_seed, check_trials
 
 #: 6 * sqrt(2) / sqrt(pi): constant of the block-count TV upper bound k/sqrt(B).
 TV_BOUND_CONST = 6.0 * math.sqrt(2.0) / math.sqrt(math.pi)
@@ -55,10 +55,8 @@ class LowerBoundConfig:
         if self.k > B // 4:
             raise ValueError(f"need k <= B/4 = {B // 4}, got k={self.k}")
         self.tree_config()  # checks epsilon and its per-vertex scale
-        # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3; at
-        # about 1,200 trials a second (T = 102,400), 10^7 trials take 2.3 hours
-        if not 1 <= self.trials <= 10**7:
-            raise ValueError(f"trials must be in [1, 10^7], got {self.trials}")
+        check_trials(self.trials)
+        # trial i runs the mechanism under seeds seed + 4i .. seed + 4i + 3
         object.__setattr__(self, "seed", check_seed(self.seed, 4 * self.trials))
 
     def tree_config(self) -> MechanismConfig:

@@ -15,7 +15,10 @@ test that compares the package with it compares two programs:
   down to 0, each level's sum 0.0 plus its draws in walk order, and the
   true prefix sum added last;
 * the oracles of the acceptance criteria: `exhaustive_mse`,
-  `sensitivity_audit` and the per-trial `run_distinguisher`.
+  `sensitivity_audit` and the per-trial `run_distinguisher`;
+* the CSV rows of `karycount run` by one `%` over a block's columns
+  (`format_rows`), the formatter the package had before it formatted
+  rows in numpy.
 
 A digit system is `karycount.digits.DigitSystem` or its value ("plain",
 "offset-odd", "offset-even").  A configuration is any object with the
@@ -264,3 +267,20 @@ def run_distinguisher(mechanism, y, y_prime, config, seeds) -> int | None:
     diff = mechanism(y, seeds[0]) - mechanism(y_prime, seeds[1])
     over = np.flatnonzero(diff > config.k / 2.0)
     return int(over[0]) + 1 if len(over) else None
+
+
+def format_rows(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> str:
+    """CSV rows t+1, t+2, ... of the estimates (and true counts).
+
+    One `%` over the interleaved columns: `%.17g` of each estimate and
+    `%d` of each time and count.
+    """
+    n = len(est)
+    width = 2 if counts is None else 3
+    cells = [None] * (width * n)
+    cells[0::width] = range(t + 1, t + n + 1)
+    cells[1::width] = est.tolist()
+    if counts is not None:
+        cells[2::width] = counts.tolist()
+    row = "%d,%.17g\n" if counts is None else "%d,%.17g,%d\n"
+    return (row * n) % tuple(cells)

@@ -1,8 +1,11 @@
 """Error-analysis tests: closed forms vs enumeration, constants, crossover."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -174,6 +177,28 @@ def test_henzinger_bound_shape():
     )
 
 
+@pytest.mark.parametrize("T", [2, 3, 10, 1000, 2**20])
+def test_henzinger_bound_understates_the_square_root_factorization(T):
+    # its bracket 1 + ln(4T/5)/pi is below S_T = sum_{j<T} f_j^2, f_j =
+    # C(2j, j)/4^j, the squared column norm of the square-root
+    # factorization, so the bound is below that mechanism's largest variance
+    # C^2 S_T^2; S_T is summed in float64, f_j = f_{j-1} (2j - 1)/(2j)
+    j = np.arange(1, T)
+    f = np.concatenate(([1.0], np.cumprod((2 * j - 1) / (2 * j))))
+    s_T = float(np.sum(f * f))
+    bracket = 1.0 + math.log(4.0 * T / 5.0) / math.pi
+    assert s_T > bracket
+    C2 = (2.0 / 0.5) ** 2 * (4.0 / 9.0 + math.log(math.sqrt(2.0 / math.pi) / 1e-6))
+    assert henzinger_bound(T, 0.5, 1e-6) == pytest.approx(C2 * bracket**2, rel=1e-12)
+    assert henzinger_bound(T, 0.5, 1e-6) < C2 * s_T**2
+    if T == 2:
+        assert (round(s_T, 4), round(bracket, 4)) == (1.25, 1.1496)
+    if T == 2**20:
+        assert (round(s_T, 4), round(bracket, 4)) == (5.479, 5.3417)
+        assert s_T == pytest.approx((math.log(T) + np.euler_gamma + 4 * math.log(2)) / math.pi,
+                                    rel=1e-5)
+
+
 def test_crossover_exponent():
     rep = crossover(DigitSystem.OFFSET_ODD, 19)
     assert rep.exponent == pytest.approx(0.915695295699376, abs=1e-12)
@@ -218,6 +243,22 @@ def test_empirical_mse_zero_noise():
     cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 4, 1.0, zero_noise=True)
     rep = empirical_mse(cfg, trials=100, seed=0)
     assert rep.empirical_mse == 0.0
+
+
+@pytest.mark.parametrize("trials", [0, -1, 10**7 + 1, 10**13])
+def test_empirical_mse_refuses_trials_out_of_range_before_allocating(trials):
+    # 10^13 trials was refused only when its per-trial array failed to
+    # allocate, and 10^9 would have run holding 8 GB
+    cfg = MechanismConfig(DigitSystem.OFFSET_ODD, 3, 4, 1.0)
+    tracemalloc.start()
+    try:
+        with mock.patch("karycount.analysis.BatchRunner", side_effect=AssertionError("planned")):
+            with pytest.raises(ValueError, match=r"trials must be in \[1, 10\^7\]"):
+                empirical_mse(cfg, trials=trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_empirical_mse_deterministic_in_seed():

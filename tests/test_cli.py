@@ -271,6 +271,15 @@ def test_bench_trials_too_many_to_hold_name_trials(monkeypatch, capsys):
     assert out == ""
 
 
+def test_bench_trials_past_ten_million_are_refused(monkeypatch, capsys):
+    # refused by the count itself, before any plan or per-trial array
+    with mock.patch.object(analysis, "BatchRunner", side_effect=AssertionError("planned")):
+        code, out, err = run_cli(["bench", "--trials", str(10**7 + 1)],
+                                 monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"usage error: --trials must be in [1, 10^7], got {10**7 + 1}\n"
+
+
 def test_analyze_constants(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["analyze", "constants", "--variant", "offset-odd"],
