@@ -372,7 +372,6 @@ def cmd_bench(args, out) -> int:
     if args.h > 63:  # k >= 2, so k^h > 2^63 - 1; k**h itself would not end
         raise UsageError(f"--h {args.h}: times and vertex keys do not fit in int64")
     try:
-        noise.check_trials(args.trials, "--trials")
         T = max_value(variant, args.k, args.h)
         cfg = MechanismConfig(
             variant=variant, k=args.k, T=T, epsilon=args.epsilon,
@@ -380,7 +379,8 @@ def cmd_bench(args, out) -> int:
         )
         report = analysis.empirical_mse(cfg, trials=args.trials, seed=seed)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        message = str(exc)  # empirical_mse names its count "trials", bench's flag --trials
+        raise UsageError("--" + message if message.startswith("trials ") else message)
     except (OverflowError, MemoryError) as exc:
         # the plan grows with k^h, the per-trial array with --trials (80 MB at 10^7)
         raise UsageError(f"--k {args.k} --h {args.h} --trials {args.trials} is too large to simulate: {exc}")

@@ -242,14 +242,14 @@ def check_seed(seed, count: int = 1) -> int:
     return int(seed)
 
 
-def check_trials(trials: int, name: str = "trials") -> int:
-    """`trials`, a count of Monte-Carlo trials; `ValueError` naming it unless in [1, 10^7].
+def check_trials(trials: int) -> int:
+    """`trials`, a count of Monte-Carlo trials; `ValueError` unless in [1, 10^7].
 
     A trial of `lowerbound` at T = 102,400 takes about 1 ms, so 10^7 of
     them take hours; `empirical_mse` holds one float per trial.
     """
     if not 1 <= trials <= 10**7:
-        raise ValueError(f"{name} must be in [1, 10^7], got {trials}")
+        raise ValueError(f"trials must be in [1, 10^7], got {trials}")
     return trials
 
 

@@ -33,9 +33,9 @@ _COMMA, _NEWLINE = _cells(b",\0\n\0")
 def row_bytes(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> bytearray:
     """`"%d,%.17g\\n"` or `"%d,%.17g,%d\\n"` of each row t+1, t+2, ..., as bytes.
 
-    A block whose estimates all lie in 1 <= |x| < 2^53, and whose counts
-    are >= 0, is formatted in numpy; any other block by one `%` over its
-    interleaved columns.  In that range `%.17g` prints x in fixed point:
+    The counts, running sums of 0/1 bits, are >= 0.  A block whose
+    estimates all lie in 1 <= |x| < 2^53 is formatted in numpy; any other
+    block by one `%` over its interleaved columns.  In that range `%.17g` prints x in fixed point:
     its 17 significant digits, the "." after the ni digits of its integer
     part, and no trailing zero after the "." (nor the "." itself, after
     none left).  x = F / 2^E with 0 <= E <= 52 and F < 2^53, so:
@@ -62,8 +62,7 @@ def row_bytes(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> byte
     shift = (bits >> 52) & 0x7FF  # 1023 + the binary exponent
     if counts is not None:
         counts = np.ascontiguousarray(counts, dtype=np.int64)
-    if (not n or shift.min() < 1023 or shift.max() > 1075
-            or (counts is not None and counts.min() < 0)):
+    if not n or shift.min() < 1023 or shift.max() > 1075:
         return _percent_rows(t, est, counts)
     np.subtract(1075, shift, out=shift)  # E
     rest = bits & (2**52 - 1)

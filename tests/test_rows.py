@@ -120,12 +120,6 @@ def test_a_block_with_a_value_out_of_range_falls_back_to_percent(value):
     assert percent.call_count == 1
 
 
-def test_negative_counts_fall_back_to_percent():
-    with mock.patch.object(rows, "_percent_rows", wraps=rows._percent_rows) as percent:
-        check(0, [1.5, 2.5], np.array([4, -1]))
-    assert percent.call_count == 1
-
-
 def test_empty_block_is_empty():
     assert rows.row_bytes(7, np.zeros(0)) == b""
     assert cli.format_rows(7, np.zeros(0), np.zeros(0, dtype=np.int64)) == ""
