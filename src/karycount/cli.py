@@ -488,6 +488,13 @@ def cmd_lowerbound(args, out) -> int:
         f"packing_value={fmt(report.packing_value)} "
         f"k_threshold={fmt(report.k_threshold)}\n"
     )
+    out.write(
+        f"# premise_rate={fmt(report.premise_rate)} "
+        f"mean_max_error={fmt(report.mean_max_error)} "
+        f"sum_null_se={fmt(report.sum_null_se)} "
+        f"base_tv_bound={fmt(report.base_tv_bound)} "
+        f"combined_tv_bound={fmt(report.combined_tv_bound)}\n"
+    )
     out.write("i,pr_Ei,se,sum_Ej_null,tv_exact,tv_bound\n")
     for i in range(cfg.m):
         out.write(

@@ -12,9 +12,10 @@ the block-count reduction (conditioned binomial vs its k-shift) is computed
 exactly, with `math.lgamma` and no scipy, and the base-string distance is
 evaluated via its closed-form bound.
 
-The experiment samples its strings one trial at a time but runs the
-mechanism on blocks of trials: it keeps only the strings' block sums, draws
-the noise of all the block's runs in one `BatchRunner.noise` call and finds
+The experiment draws block counts, not strings (`sample_x0` and
+`derive_xi` are the strings they stand for): the distinguisher reads only
+block-end counts.  It runs the mechanism on blocks of trials: it draws the
+noise of all the block's runs in one `BatchRunner.noise` call and finds
 every run's first crossing with numpy, in O(block) memory.
 """
 
@@ -169,6 +170,26 @@ def derive_xi(
     return out
 
 
+def trial_counts(config: LowerBoundConfig, trial: int) -> np.ndarray:
+    """Block counts of one trial's x^(i) and x^(0), shape (2, m), under its own rng.
+
+    x^(0)'s are Bin(B, 1/2) on [B/4, 3B/4] by per-block rejection, as
+    `sample_x0`'s block sums; x^(i), i = trial mod m + 1, has k more in
+    block i, as `derive_xi` gives.
+    """
+    rng = np.random.default_rng((config.seed, trial))
+    B = config.B
+    counts = rng.binomial(B, 0.5, size=config.m)
+    for _ in range(_REJECTION_CAP):
+        bad = (counts < B // 4) | (counts > 3 * B // 4)
+        if not bad.any():
+            pair = np.array((counts, counts))
+            pair[0, trial % config.m] += config.k  # x^(i)
+            return pair
+        counts[bad] = rng.binomial(B, 0.5, size=int(bad.sum()))
+    raise RuntimeError(f"block rejection cap {_REJECTION_CAP} exceeded (B={B})")
+
+
 def tree_mechanism_factory(config: LowerBoundConfig):
     """The mechanism under test, `config.tree_config()`, at the block ends.
 
@@ -201,34 +222,36 @@ class PackingReport:
     combined_tv_bound: float
     packing_value: float  # m * exp(-k * epsilon) / 2, must be <= 1
     k_threshold: float  # epsilon^-1 * ln(m/2): flip counts below this are infeasible
+    premise_rate: float  # fraction of trials whose run 1 is alpha-accurate at every block end
+    mean_max_error: float  # mean of run 1's largest block-end |error|
 
 
 def packing_experiment(config: LowerBoundConfig) -> PackingReport:
     """Monte-Carlo estimates of the distinguishing events and the packing sum.
 
-    Each trial draws a fresh base string, targets one block i (cycling), and
-    runs the distinguisher on (x^(i), x^(0)) and on the null pair
-    (x^(0), x^(0)) with independent derived seeds: trial t runs x^(i), x^(0),
-    x^(0), x^(0) under seeds seed + 4t .. seed + 4t + 3.  The runs of a block
-    of trials are one `BatchRunner.noise` call over all their seeds plus the
-    cumulative block sums of the strings, and so equal, bit for bit, a
-    trial-by-trial loop of four runs of `tree_mechanism_factory`'s mechanism.
+    Each trial draws the block counts of a fresh base string and of x^(i),
+    for one block i (cycling), with `trial_counts`, and runs the
+    distinguisher on (x^(i), x^(0)) and on the null pair (x^(0), x^(0))
+    with independent derived seeds: trial t runs x^(i), x^(0), x^(0), x^(0)
+    under seeds seed + 4t .. seed + 4t + 3.  The runs of a block of trials
+    are one `BatchRunner.noise` call over all their seeds plus the
+    cumulative block counts, and so equal, bit for bit, a trial-by-trial
+    loop of four runs of `tree_mechanism_factory`'s mechanism on any
+    strings with those block counts.  The premise rate counts the trials
+    whose run 1 is within alpha at every block end.
     """
     runner = tree_mechanism_factory(config).runner
-    B, m, trials = config.B, config.m, config.trials
+    m, trials = config.m, config.trials
     per_block = max(1, runner.seeds_per_block() // 4)
     hits = np.zeros(m)
     totals = np.zeros(m)
-    null_fired = 0
+    null_fired = accurate = 0
+    error_sum = 0.0
     sums = np.empty((per_block, 2, m), dtype=np.int32)  # of x^(i) and x^(0), per trial
     for done in range(0, trials, per_block):
         n = min(per_block, trials - done)
         for r, trial in enumerate(range(done, done + n)):
-            rng = np.random.default_rng((config.seed, trial))
-            x0 = sample_x0(config, rng)
-            xi = derive_xi(x0, trial % m + 1, config.k, rng, B=B)
-            xi.reshape(m, B).sum(axis=1, dtype=np.int32, out=sums[r, 0])
-            x0.reshape(m, B).sum(axis=1, dtype=np.int32, out=sums[r, 1])
+            sums[r] = trial_counts(config, trial)
         # (input, block end, trial)
         counts = np.cumsum(sums[:n], axis=2, dtype=np.int64).transpose(1, 2, 0)
         seeds = np.arange(config.seed + 4 * done, config.seed + 4 * (done + n), dtype=np.uint64)
@@ -242,6 +265,9 @@ def packing_experiment(config: LowerBoundConfig) -> PackingReport:
         totals += np.bincount(target, minlength=m)
         hits += np.bincount(target[hit], minlength=m)
         null_fired += int(null.any(axis=0).sum())
+        error = np.abs(noise[:, :, 1]).max(axis=0)  # x^(0)'s run 1
+        accurate += int((error <= config.alpha).sum())
+        error_sum += float(error.sum())
 
     with np.errstate(invalid="ignore", divide="ignore"):
         pr = np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
@@ -261,4 +287,6 @@ def packing_experiment(config: LowerBoundConfig) -> PackingReport:
         combined_tv_bound=combined_tv_bound(config.T),
         packing_value=config.m * math.exp(-config.k * config.epsilon) / 2.0,
         k_threshold=math.log(config.m / 2.0) / config.epsilon,
+        premise_rate=accurate / trials,
+        mean_max_error=error_sum / trials,
     )

@@ -333,6 +333,28 @@ def test_lowerbound_zero_noise(monkeypatch, capsys):
     assert all(float(r[3]) == 0.0 for r in data_rows)
 
 
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_lowerbound_comment_lines_are_key_value_tokens(zero_noise, monkeypatch, capsys):
+    # the benchmark's check splits every token of every `#` line on "=",
+    # so a bare word there fails each of its runs
+    argv = ["lowerbound", "--T", "256", "--k", "4", "--trials", "40", "--seed", "3"]
+    code, out, _ = run_cli(argv + ["--zero-noise"] * zero_noise,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    tokens = [kv for line in out.splitlines() if line.startswith("#") for kv in line[1:].split()]
+    assert [kv for kv in tokens if "=" not in kv] == []
+    fields = {key: float(value) for key, value in (kv.split("=", 1) for kv in tokens)}
+    assert len(fields) == len(tokens)
+    assert set(fields) == {
+        "seed", "B", "m", "alpha", "packing_value", "k_threshold", "premise_rate",
+        "mean_max_error", "sum_null_se", "base_tv_bound", "combined_tv_bound",
+    }
+    assert 0.0 <= fields["premise_rate"] <= 1.0 and fields["mean_max_error"] >= 0.0
+    if zero_noise:
+        assert fields["premise_rate"] == 1.0 and fields["mean_max_error"] == 0.0
+        assert fields["sum_null_se"] == 0.0
+
+
 def test_lowerbound_rejects_bad_shape(monkeypatch, capsys):
     code, _, err = run_cli(
         ["lowerbound", "--T", "200", "--k", "2"], monkeypatch=monkeypatch, capsys=capsys
@@ -779,19 +801,25 @@ def test_bench_k19_h5_runs():
 
 
 def test_lowerbound_out_of_memory_is_usage_error():
-    # B = m = 100,000: the base strings alone are 10^10 bytes, past a 3 GB cap
-    cap = 3_000_000 * 1024
+    # B = m = 400,000: the plan of the 400,000 block ends passes the plan
+    # budget but peaks near 600 MiB, past a 300 MB cap; a run at T = 1024
+    # peaks near 35 MiB.  One BLAS thread keeps the address space that
+    # importing numpy reserves, about 40 MB a thread, from growing with the
+    # number of cores
+    cap = 300_000 * 1024
 
     def limit_child():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     result = subprocess.run(
         [sys.executable, "-m", "karycount.cli", "lowerbound",
-         "--T", "10000000000", "--k", "2", "--trials", "1"],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit_child, env=ENV,
+         "--T", "160000000000", "--k", "2", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_child,
+        env=dict(ENV, OPENBLAS_NUM_THREADS="1"),
     )
     assert result.returncode == 1
     assert result.stderr.startswith("usage error:")
+    assert "too large to simulate" in result.stderr  # a MemoryError, not the budget
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

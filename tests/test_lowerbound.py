@@ -20,6 +20,7 @@ from karycount.lowerbound import (
     packing_experiment,
     sample_x0,
     tree_mechanism_factory,
+    trial_counts,
 )
 from karyref import run_distinguisher
 
@@ -203,6 +204,7 @@ def test_packing_experiment_zero_noise():
     rep = packing_experiment(cfg)
     assert np.nanmin(rep.pr_event) == 1.0
     assert rep.sum_null == 0.0
+    assert rep.premise_rate == 1.0 and rep.mean_max_error == 0.0
     assert rep.tv_exact == pytest.approx(exact_block_tv(16, 4))
     assert rep.packing_value == pytest.approx(16 * math.exp(-4.0) / 2.0)
 
@@ -225,31 +227,107 @@ def test_packing_experiment_deterministic():
     assert a.sum_null == b.sum_null
 
 
-def per_trial_experiment(config):
-    """The experiment one trial at a time: four mechanism runs per trial.
+def chi_square_critical(df, z=3.719):
+    """Wilson-Hilferty upper quantile of chi-square(df), at one-sided 10^-4."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
-    (pr_event, pr_event_se, trials_per_block, sum_null, sum_null_se), as
-    `packing_experiment` reports them.
+
+def count_histogram(config, blocks):
+    """Histogram over [0, B] of the x^(0) block counts of the first trials."""
+    draws = np.concatenate([trial_counts(config, t)[1] for t in range(blocks // config.m)])
+    return np.bincount(draws, minlength=config.B + 1)
+
+
+@pytest.mark.parametrize("B", [16, 32])
+def test_trial_counts_follow_the_conditioned_pmf(B):
+    cfg = LowerBoundConfig(T=B * B, k=2, epsilon=1.0, trials=100_000 // B, seed=17)
+    observed = count_histogram(cfg, 100_000)
+    pmf = BlockCountDistribution(B).pmf
+    assert observed[pmf == 0].sum() == 0
+    expected = observed.sum() * pmf[pmf > 0]
+    stat = float((((observed[pmf > 0] - expected) ** 2) / expected).sum())
+    assert stat < chi_square_critical(len(expected) - 1)
+
+
+@pytest.mark.parametrize("B", [16, 32])
+def test_trial_counts_follow_the_string_sampler(B):
+    # two-sample chi-square against the block sums of sample_x0's strings
+    cfg = LowerBoundConfig(T=B * B, k=2, epsilon=1.0, trials=100_000 // B, seed=29)
+    counts = count_histogram(cfg, 100_000)
+    rng = np.random.default_rng(31)
+    strings = np.zeros(B + 1, dtype=np.int64)
+    for _ in range(100_000 // B):
+        sums = sample_x0(cfg, rng).reshape(cfg.m, B).sum(axis=1)
+        strings += np.bincount(sums, minlength=B + 1)
+    cells = (counts + strings) > 0
+    assert cells.sum() == B // 2 + 1  # all of [B/4, 3B/4], nothing else
+    a, b = counts[cells], strings[cells]
+    na, nb = a.sum(), b.sum()
+    stat = float(((a * math.sqrt(nb / na) - b * math.sqrt(na / nb)) ** 2 / (a + b)).sum())
+    assert stat < chi_square_critical(len(a) - 1)
+
+
+def test_trial_counts_add_k_at_the_target_block_only():
+    cfg = LowerBoundConfig(T=1024, k=8, epsilon=1.0, trials=100, seed=5)
+    for trial in range(3 * cfg.m):
+        xi, x0 = trial_counts(cfg, trial)
+        diff = xi - x0
+        assert np.flatnonzero(diff).tolist() == [trial % cfg.m]
+        assert diff[trial % cfg.m] == cfg.k
+        assert (x0 >= cfg.B // 4).all() and (x0 <= 3 * cfg.B // 4).all()
+
+
+def reference_strings(config, trial):
+    """(x^(i), x^(0)) of one trial as bit strings, i = trial mod m + 1.
+
+    The block counts are drawn as the simulator draws them, from Bin(B, 1/2)
+    by per-block rejection under the trial's generator; each block puts its
+    ones at uniformly random places, and `derive_xi` flips k zeros of block i.
+    """
+    B, m = config.B, config.m
+    rng = np.random.default_rng((config.seed, trial))
+    counts = rng.binomial(B, 0.5, size=m)
+    while (bad := (counts < B // 4) | (counts > 3 * B // 4)).any():
+        counts[bad] = rng.binomial(B, 0.5, size=int(bad.sum()))
+    ranks = rng.permuted(np.tile(np.arange(B), (m, 1)), axis=1)
+    x0 = (ranks < counts[:, None]).astype(np.int8).reshape(-1)
+    i = trial % m + 1
+    xi = derive_xi(x0, i, config.k, rng, B=B)
+    diff = xi.reshape(m, B).sum(axis=1) - counts
+    assert np.flatnonzero(diff).tolist() == [i - 1] and diff[i - 1] == config.k
+    return xi, x0
+
+
+def per_trial_experiment(config):
+    """The experiment one trial at a time: four mechanism runs per trial on strings.
+
+    (pr_event, pr_event_se, trials_per_block, sum_null, sum_null_se,
+    premise_rate, mean_max_error), as `packing_experiment` reports them.
     """
     mechanism = tree_mechanism_factory(config)
     m = config.m
-    hits, totals, null_fired = np.zeros(m), np.zeros(m), 0
+    hits, totals, null_fired, accurate, errors = np.zeros(m), np.zeros(m), 0, 0, []
+    ends = np.arange(config.B, config.T + 1, config.B)
     for trial in range(config.trials):
-        rng = np.random.default_rng((config.seed, trial))
-        x0 = sample_x0(config, rng)
+        xi, x0 = reference_strings(config, trial)
         i = trial % m + 1
-        xi = derive_xi(x0, i, config.k, rng, B=config.B)
         base = config.seed + 4 * trial
         totals[i - 1] += 1
         if run_distinguisher(mechanism, xi, x0, config, (base, base + 1)) == i:
             hits[i - 1] += 1
         if run_distinguisher(mechanism, x0, x0, config, (base + 2, base + 3)) is not None:
             null_fired += 1
+        # the error of the x^(0) run of the first pair
+        error = np.abs(mechanism(x0, base + 1) - np.cumsum(x0)[ends - 1]).max()
+        accurate += int(error <= config.alpha)
+        errors.append(error)
     with np.errstate(invalid="ignore", divide="ignore"):
         pr = np.where(totals > 0, hits / np.maximum(totals, 1), np.nan)
         se = np.sqrt(pr * (1.0 - pr) / np.maximum(totals, 1))
     p_null = null_fired / config.trials
-    return pr, se, totals, p_null, math.sqrt(p_null * (1.0 - p_null) / config.trials)
+    se_null = math.sqrt(p_null * (1.0 - p_null) / config.trials)
+    return pr, se, totals, p_null, se_null, accurate / config.trials, float(np.mean(errors))
 
 
 def trials_per_noise_block(config):
@@ -258,11 +336,14 @@ def trials_per_noise_block(config):
 
 def assert_batched_is_per_trial(config):
     rep = packing_experiment(config)
-    pr, se, totals, p_null, se_null = per_trial_experiment(config)
+    pr, se, totals, p_null, se_null, premise, mean_error = per_trial_experiment(config)
     np.testing.assert_array_equal(rep.pr_event, pr)
     np.testing.assert_array_equal(rep.pr_event_se, se)
     np.testing.assert_array_equal(rep.trials_per_block, totals)
     assert rep.sum_null == p_null and rep.sum_null_se == se_null
+    # the reference's error is estimate - count, the simulator's the noise
+    assert rep.premise_rate == premise
+    assert rep.mean_max_error == pytest.approx(mean_error, rel=1e-12, abs=1e-12)
     return rep
 
 
@@ -281,6 +362,14 @@ def test_batched_experiment_partial_last_block():
     rep = assert_batched_is_per_trial(cfg)
     assert 0.0 < rep.sum_null < 1.0
     assert 0.0 < np.mean(rep.pr_event) < 1.0
+
+
+def test_batched_experiment_premise_partly_holds():
+    # at this epsilon some trials stay within alpha at every block end
+    cfg = LowerBoundConfig(T=256, k=4, epsilon=32.0, trials=300, seed=21)
+    rep = assert_batched_is_per_trial(cfg)
+    assert 0.0 < rep.premise_rate < 1.0
+    assert 0.0 < rep.sum_null < 1.0
 
 
 def test_batched_experiment_one_trial_per_block(monkeypatch):
