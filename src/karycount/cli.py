@@ -1,21 +1,26 @@
 """Command-line surface: run, bench, calibrate, analyze, lowerbound.
 
-Output is CSV with `#`-prefixed comment lines; every numeric field is
-printed with round-trip precision so downstream comparisons are exact.
-Exit codes: 0 success, 1 usage error, 2 data error (a named output that
-cannot be opened or written is one; it is opened at the command's first
-line, so a usage error leaves it as it was), 3 bench acceptance failure,
-141 the reader of stdout went away (128 + SIGPIPE, as a shell reports a
-process killed by that signal).  `run` releases the rows of each read of
-input in one call of `mechanisms.BlockNoise`, equal bit for bit to
-`Mechanism.feed`, formats them in numpy with the bytes of `%`
-(`rows.row_bytes`) and writes those bytes to the binary layer of the
-named file or of stdout; on stdout they are flushed before the next read.
+Output is CSV with `#`-prefixed comment lines of `key=value` tokens; every
+numeric field is printed with round-trip precision so downstream
+comparisons are exact.  Every command writes bytes to one sink, `_Output`:
+stdout's binary layer, or the file `--output` names, opened, and so
+truncated, at the command's first write.
+Exit codes: 0 success, 1 usage error, 2 data error (an input that cannot
+be read or parsed, or an output that cannot be opened or written in full;
+a command checks its arguments and opens its input before its first
+write, so a usage error or an unreadable input leaves a named output as
+it was), 3 bench acceptance failure, 141 the reader of stdout went away (128 + SIGPIPE, as
+a shell reports a process killed by that signal).  `run` releases the
+rows of each read of input in one call of `mechanisms.BlockNoise`, equal
+bit for bit to `Mechanism.feed`, formats them in numpy with the bytes of
+`%` (`rows.row_bytes`) and flushes the sink before the next read, to a
+file as to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import analysis, lowerbound, noise
 from .digits import DigitSystem, max_value
-from .mechanisms import BlockNoise, MechanismConfig, check_int64
+from .mechanisms import BlockNoise, MechanismConfig
 from .rows import row_bytes
 
 EXIT_OK = 0
@@ -81,21 +86,17 @@ def _resolve_seed(value) -> int:
 
 
 def _open_input(path: str):
-    """(read, close) of the input: read(n) returns up to n bytes, b"" at its end."""
-    if path != "-":
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise DataError(f"cannot read input {path}: {exc}")
-        return fh.read1, fh.close
-    stdin = sys.stdin
-    if hasattr(stdin, "buffer"):
-        return stdin.buffer.read1, None
-    return (lambda n: stdin.read(n).encode()), None  # a text stream standing in for stdin
+    """The input as a context of a binary stream: stdin's binary layer for "-", else the file."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin.buffer)
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc}")
 
 
-def _read_bits(path: str, before_read=None):
-    """Yield the input's bits in chunks, each a bytes of b"0" and b"1".
+def _read_bits(source, before_read):
+    """Yield the bits of the binary stream `source` in chunks, each a bytes of b"0" and b"1".
 
     A chunk holds the tokens of one read of the input, up to `READ_BYTES`,
     up to its last separator; a token cut off at its end waits for the next
@@ -104,37 +105,31 @@ def _read_bits(path: str, before_read=None):
     chunk goes through `_parse_lines`; a bad token raises `DataError`
     naming its line, once the bits before it are yielded.
     """
-    read, close = _open_input(path)
     lineno = 1
     pending = []  # the reads since the last separator, none of which holds one
     cr = False  # the last read ended with a "\r" cut, which a "\n" may complete
-    try:
-        while True:
-            if before_read is not None:
-                before_read()
-            data = read(READ_BYTES)
-            eof = not data
-            if cr and data[:1] == b"\n":  # the rest of a "\r\n" cut at its "\r"
-                data = data[1:]
-            cr = False
-            cut = len(data) if eof else max(map(data.rfind, (b"\n", b"\r", b","))) + 1
-            if not cut and not eof:  # no separator yet: the token goes on
-                pending.append(data)
-                continue
-            pending.append(data[:cut])
-            text = b"".join(pending)
-            pending = [data[cut:]]
-            cr = cut == len(data) and text.endswith(b"\r")
-            bits, lineno, error = _parse_lines(text, lineno)
-            if bits:
-                yield bits
-            if error is not None:
-                raise DataError(error)
-            if eof:
-                return
-    finally:
-        if close is not None:
-            close()
+    while True:
+        before_read()
+        data = source.read1(READ_BYTES)
+        eof = not data
+        if cr and data[:1] == b"\n":  # the rest of a "\r\n" cut at its "\r"
+            data = data[1:]
+        cr = False
+        cut = len(data) if eof else max(map(data.rfind, (b"\n", b"\r", b","))) + 1
+        if not cut and not eof:  # no separator yet: the token goes on
+            pending.append(data)
+            continue
+        pending.append(data[:cut])
+        text = b"".join(pending)
+        pending = [data[cut:]]
+        cr = cut == len(data) and text.endswith(b"\r")
+        bits, lineno, error = _parse_lines(text, lineno)
+        if bits:
+            yield bits
+        if error is not None:
+            raise DataError(error)
+        if eof:
+            return
 
 
 #: The ASCII whitespace that `str.strip` removes, but for the separators.
@@ -194,35 +189,67 @@ def _line_breaks(text: bytes) -> int:
 
 
 class _Output:
-    """A named output file, opened in binary mode, and so truncated, at its first write.
+    """The byte sink of a command: stdout's binary layer for "-", else the named file.
 
-    A command writes its first line only once its arguments are valid, so
-    a usage error leaves the file as it was.  Text is written as UTF-8;
-    `buffer` is the file itself, which takes bytes.
+    The file is opened, and so truncated, at the first write.  `write`
+    takes str, as UTF-8, or bytes, and writes all of them: under `python
+    -u` stdout's binary layer is a raw file, whose write may store fewer
+    bytes than it is given, and none (None) when it is non-blocking and
+    full.  An `OSError` of open, write, flush or close, or a write that
+    stores no byte, is a `DataError`; only a `BrokenPipeError` of stdout
+    passes, for `main`'s exit 141.  Once stdout fails it goes to /dev/null
+    (the recipe of the `signal` docs): the bytes still buffered would fail
+    again when Python flushes it at exit.
     """
 
     def __init__(self, path: str):
         self.path, self.file = path, None
 
-    @property
-    def buffer(self):
-        if self.file is None:
-            try:
-                self.file = open(self.path, "wb")
-            except OSError as exc:
-                raise DataError(f"cannot write output {self.path}: {exc}")
-        return self.file
-
-    def write(self, text: str) -> int:
-        return self.buffer.write(text.encode())
+    def write(self, data) -> None:
+        view = memoryview(data.encode() if isinstance(data, str) else data)
+        with self._failures():
+            if self.file is None:
+                self.file = sys.stdout.buffer if self.path == "-" else open(self.path, "wb")
+                if self.path == "-":  # what stdout's text layer holds comes first
+                    sys.stdout.flush()
+            while view:
+                stored = self.file.write(view)
+                if not stored:
+                    raise OSError(f"a write stored none of {len(view)} bytes")
+                view = view[stored:]
 
     def flush(self) -> None:
         if self.file is not None:
-            self.file.flush()
+            with self._failures():
+                self.file.flush()
 
     def close(self) -> None:
         if self.file is not None:
-            self.file.close()
+            with self._failures():
+                self.file.flush() if self.path == "-" else self.file.close()
+
+    @contextlib.contextmanager
+    def _failures(self):
+        try:
+            yield
+        except OSError as exc:
+            if self.path == "-":
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, self.file.fileno())
+                os.close(devnull)
+                if isinstance(exc, BrokenPipeError):
+                    raise
+            raise DataError(f"cannot write output {self.path}: {exc}")
+
+
+def _line(out: _Output, *cells) -> None:
+    """One CSV row of `cells`, each written by `fmt`."""
+    out.write(",".join(map(fmt, cells)) + "\n")
+
+
+def _comment(out: _Output, **fields) -> None:
+    """One `#` line of space-separated `key=value` tokens, each value written by `fmt`."""
+    out.write("# " + " ".join(f"{key}={fmt(value)}" for key, value in fields.items()) + "\n")
 
 
 def build_parser() -> _Parser:
@@ -286,84 +313,47 @@ def build_parser() -> _Parser:
 def cmd_run(args, out) -> int:
     variant = _VARIANTS[args.variant]
     seed = _resolve_seed(args.seed)
-    # stdout is an online release: the rows of each read are flushed before
-    # the next read, which may wait for more input
-    online = args.output in (None, "-")
-    if args.T is not None:
-        # known horizon: stream the input, holding one chunk of it
-        T = args.T
-        chunks = _read_bits(args.input, out.flush if online else None)
-    else:
-        chunks = list(_read_bits(args.input))
-        T = sum(map(len, chunks))
-        if not T:
-            raise DataError("empty input stream")
-    try:
-        cfg = MechanismConfig(
-            variant=variant, k=args.k, T=T, epsilon=args.epsilon,
-            seed=seed, zero_noise=args.zero_noise,
-        )
-        check_int64(cfg)
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(str(exc))
-    out.write(f"# seed={seed}\n")
-    if args.zero_noise:
-        out.write("# zero-noise: outputs are NOT private\n")
-    if args.with_true:
-        out.write("# with-true: true prefix sums included, NOT private\n")
-    header = "t,estimate,true" if args.with_true else "t,estimate"
-    out.write(header + "\n")
-    if _release_blocks(cfg, chunks, _row_writer(out), args.with_true) == 0:
+    with _open_input(args.input) as source:
+        # an online release: what is written is flushed before every read,
+        # which may wait for more input
+        chunks = _read_bits(source, out.flush)
+        T = args.T  # a known horizon streams the input, holding one chunk of it
+        if T is None:
+            chunks = list(chunks)
+            T = sum(map(len, chunks))
+            if not T:
+                raise DataError("empty input stream")
+        try:
+            cfg = MechanismConfig(
+                variant=variant, k=args.k, T=T, epsilon=args.epsilon,
+                seed=seed, zero_noise=args.zero_noise,
+            )
+            engine = BlockNoise(cfg)
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(str(exc))
+        _comment(out, seed=seed)
+        if args.zero_noise:
+            out.write("# zero-noise: outputs are NOT private\n")
+        if args.with_true:
+            out.write("# with-true: true prefix sums included, NOT private\n")
+        out.write("t,estimate,true\n" if args.with_true else "t,estimate\n")
+        # one row per input bit: the true counts plus the next call of the
+        # engine, which equals `Mechanism.feed` bit for bit, a chunk at a time
+        t = true_sum = 0
+        for chunk in chunks:
+            bits = np.frombuffer(chunk, dtype=np.uint8)
+            n = min(len(bits), T - t)
+            if n:
+                times = np.arange(t + 1, t + n + 1, dtype=np.int64)
+                counts = np.cumsum(bits[:n] - 48, dtype=np.int64)
+                counts += true_sum
+                out.write(row_bytes(t, counts + engine(times), counts if args.with_true else None))
+                t, true_sum = t + n, int(counts[-1])
+            if n < len(bits):
+                raise DataError(f"input longer than --T {T}")
+    if t == 0:
         raise DataError("empty input stream")
-    out.flush()
     return EXIT_OK
-
-
-def _row_writer(out):
-    """write(t, est, counts) of a block's rows, as `format_rows` lays them out, to `out`.
-
-    The rows go to `out.buffer`, looked up now, as the bytes of
-    `row_bytes`, once the text written before them is flushed.  A text
-    stream with no `.buffer`, standing in for stdout, gets their text.
-    """
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:
-        return lambda *block: out.write(format_rows(*block))
-    out.flush()
-    return lambda *block: buffer.write(row_bytes(*block))
-
-
-def _release_blocks(cfg: MechanismConfig, chunks, write, with_true: bool) -> int:
-    """Write one row per input bit, the rows of a chunk at a time; return the rows.
-
-    A chunk's rows are the true counts plus the next call of one
-    `BlockNoise`, which equals `Mechanism.feed` bit for bit, handed to
-    `write` (of `_row_writer`) in one call.
-    """
-    engine = BlockNoise(cfg)
-    t = true_sum = 0
-    for chunk in chunks:
-        bits = np.frombuffer(chunk, dtype=np.uint8)
-        n = min(len(bits), cfg.T - t)
-        if n:
-            times = np.arange(t + 1, t + n + 1, dtype=np.int64)
-            counts = np.cumsum(bits[:n] - 48, dtype=np.int64)
-            counts += true_sum
-            est = counts + engine(times)
-            write(t, est, counts if with_true else None)
-            t, true_sum = t + n, int(counts[-1])
-        if n < len(bits):
-            raise DataError(f"input longer than --T {cfg.T}")
-    return t
-
-
-def format_rows(t: int, est: np.ndarray, counts: np.ndarray | None = None) -> str:
-    """CSV rows t+1, t+2, ... of the estimates (and true counts), by `fmt`'s rule.
-
-    The text of `rows.row_bytes`, which `run` writes to a text stream with
-    no binary layer, such as one standing in for stdout.
-    """
-    return row_bytes(t, est, counts).decode()
 
 
 def cmd_bench(args, out) -> int:
@@ -384,14 +374,10 @@ def cmd_bench(args, out) -> int:
     except (OverflowError, MemoryError) as exc:
         # the plan grows with k^h, the per-trial array with --trials (80 MB at 10^7)
         raise UsageError(f"--k {args.k} --h {args.h} --trials {args.trials} is too large to simulate: {exc}")
-    out.write(f"# seed={seed}\n")
+    _comment(out, seed=seed)
     out.write("variant,k,h,T,epsilon,trials,empirical_mse,se,closed_form\n")
-    out.write(
-        f"{args.variant},{args.k},{args.h},{T},{fmt(args.epsilon)},{args.trials},"
-        f"{fmt(report.empirical_mse)},{fmt(report.standard_error)},"
-        f"{fmt(report.closed_form_mse)}\n"
-    )
-    out.flush()
+    _line(out, args.variant, args.k, args.h, T, args.epsilon, args.trials,
+          report.empirical_mse, report.standard_error, report.closed_form_mse)
     if args.zero_noise:
         return EXIT_OK if report.empirical_mse == 0.0 else EXIT_ACCEPT
     tol = max(3.0 * report.standard_error, 0.05 * report.closed_form_mse)
@@ -423,16 +409,12 @@ def cmd_calibrate(args, out) -> int:
     if not rows:
         raise UsageError("provide --delta1 and/or --delta2")
     if branch is not None:
-        out.write(f"# theorem3_branch={branch.branch} epsilon={fmt(branch.epsilon)}\n")
+        _comment(out, theorem3_branch=branch.branch, epsilon=branch.epsilon)
     if ratio is not None:
-        out.write(f"# variance_ratio_bound={fmt(ratio)}\n")
+        _comment(out, variance_ratio_bound=ratio)
     out.write("regime,scale_or_sigma,epsilon,delta,variance\n")
     for r, variance in zip(rows, variances):
-        out.write(
-            f"{r.regime.value},{fmt(r.scale_or_sigma)},{fmt(r.epsilon)},"
-            f"{fmt(r.delta)},{fmt(variance)}\n"
-        )
-    out.flush()
+        _line(out, r.regime.value, r.scale_or_sigma, r.epsilon, r.delta, variance)
     return EXIT_OK
 
 
@@ -444,7 +426,7 @@ def cmd_analyze(args, out) -> int:
             out.write("k,leading_constant\n")
             for k in range(args.k_min, args.k_max + 1):
                 try:
-                    out.write(f"{k},{fmt(analysis.leading_constant(variant, k))}\n")
+                    _line(out, k, analysis.leading_constant(variant, k))
                 except ValueError:
                     continue
             out.write(f"# argmin k={k_star} constant={fmt(c_star)}\n")
@@ -457,16 +439,12 @@ def cmd_analyze(args, out) -> int:
                 "B_eps,B_eps_delta,exponent,T,delta_threshold,"
                 "henzinger_bound,pure_leading_term,approx_leading_term\n"
             )
-            out.write(
-                f"{fmt(rep.B_eps)},{fmt(rep.B_eps_delta)},{fmt(rep.exponent)},"
-                f"{args.T},{fmt(rep.delta_threshold(args.T))},{fmt(hb)},{fmt(pure)},"
-                f"{fmt(approx)}\n"
-            )
+            _line(out, rep.B_eps, rep.B_eps_delta, rep.exponent, args.T,
+                  rep.delta_threshold(args.T), hb, pure, approx)
     except ValueError as exc:
         raise UsageError(str(exc))
     except OverflowError as exc:  # a square or power past the float range
         raise UsageError(f"a closed form overflows: {exc}")
-    out.flush()
     return EXIT_OK
 
 
@@ -482,26 +460,16 @@ def cmd_lowerbound(args, out) -> int:
         raise UsageError(str(exc))
     except (OverflowError, MemoryError) as exc:
         raise UsageError(f"--T {args.T} is too large to simulate: {exc}")
-    out.write(f"# seed={seed}\n")
-    out.write(
-        f"# B={cfg.B} m={cfg.m} alpha={fmt(cfg.alpha)} "
-        f"packing_value={fmt(report.packing_value)} "
-        f"k_threshold={fmt(report.k_threshold)}\n"
-    )
-    out.write(
-        f"# premise_rate={fmt(report.premise_rate)} "
-        f"mean_max_error={fmt(report.mean_max_error)} "
-        f"sum_null_se={fmt(report.sum_null_se)} "
-        f"base_tv_bound={fmt(report.base_tv_bound)} "
-        f"combined_tv_bound={fmt(report.combined_tv_bound)}\n"
-    )
+    _comment(out, seed=seed)
+    _comment(out, B=cfg.B, m=cfg.m, alpha=cfg.alpha, packing_value=report.packing_value,
+             k_threshold=report.k_threshold)
+    _comment(out, premise_rate=report.premise_rate, mean_max_error=report.mean_max_error,
+             sum_null_se=report.sum_null_se, base_tv_bound=report.base_tv_bound,
+             combined_tv_bound=report.combined_tv_bound)
     out.write("i,pr_Ei,se,sum_Ej_null,tv_exact,tv_bound\n")
     for i in range(cfg.m):
-        out.write(
-            f"{i + 1},{fmt(float(report.pr_event[i]))},{fmt(float(report.pr_event_se[i]))},"
-            f"{fmt(report.sum_null)},{fmt(report.tv_exact)},{fmt(report.tv_bound)}\n"
-        )
-    out.flush()
+        _line(out, i + 1, float(report.pr_event[i]), float(report.pr_event_se[i]),
+              report.sum_null, report.tv_exact, report.tv_bound)
     return EXIT_OK
 
 
@@ -518,24 +486,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        path = getattr(args, "output", "-")
-        named = path not in (None, "-")
-        out = _Output(path) if named else sys.stdout
+        out = _Output(args.output)
         try:
-            try:
-                return _COMMANDS[args.command](args, out)
-            finally:
-                if named:
-                    out.close()
-        except BrokenPipeError as exc:
-            if named:  # the reader of a named output, a FIFO, went away
-                raise DataError(f"cannot write output {path}: {exc}")
-            # the rows still buffered would fail again when Python flushes stdout
-            # at exit, so stdout goes to /dev/null (the recipe of the `signal` docs)
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return EXIT_PIPE
+            return _COMMANDS[args.command](args, out)
+        finally:
+            out.close()
+    except BrokenPipeError:  # the reader of stdout went away
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

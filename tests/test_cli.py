@@ -20,15 +20,27 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from karycount import analysis, cli, mechanisms, noise
 from karycount.mechanisms import Mechanism, MechanismConfig
+from karycount.rows import row_bytes
 
 SRC = Path(cli.__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
+def unbuffered_env(unbuffered: bool) -> dict:
+    """`ENV` with `PYTHONUNBUFFERED` set, as `python -u`, or unset."""
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def byte_stream(data: bytes = b""):
+    """A stand-in for stdin or stdout: a text stream whose `.buffer` is an `io.BytesIO`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None, env=None):
     """Invoke main() and return (exit_code, stdout, stderr)."""
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr("sys.stdin", byte_stream(stdin_text.encode()))
     if env:
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -333,24 +345,38 @@ def test_lowerbound_zero_noise(monkeypatch, capsys):
     assert all(float(r[3]) == 0.0 for r in data_rows)
 
 
-@pytest.mark.parametrize("zero_noise", [False, True])
-def test_lowerbound_comment_lines_are_key_value_tokens(zero_noise, monkeypatch, capsys):
-    # the benchmark's check splits every token of every `#` line on "=",
-    # so a bare word there fails each of its runs
-    argv = ["lowerbound", "--T", "256", "--k", "4", "--trials", "40", "--seed", "3"]
-    code, out, _ = run_cli(argv + ["--zero-noise"] * zero_noise,
-                           monkeypatch=monkeypatch, capsys=capsys)
+LOWERBOUND_ARGV = ["lowerbound", "--T", "256", "--k", "4", "--trials", "40", "--seed", "3"]
+LOWERBOUND_KEYS = {
+    "seed", "B", "m", "alpha", "packing_value", "k_threshold", "premise_rate",
+    "mean_max_error", "sum_null_se", "base_tv_bound", "combined_tv_bound",
+}
+
+
+# "False" and "True" are `lowerbound` without and with --zero-noise
+@pytest.mark.parametrize("argv,keys", [
+    (LOWERBOUND_ARGV, LOWERBOUND_KEYS),
+    (LOWERBOUND_ARGV + ["--zero-noise"], LOWERBOUND_KEYS),
+    (["bench", "--k", "3", "--h", "2", "--trials", "200", "--seed", "3"], {"seed"}),
+    (["calibrate", "--delta1", "2", "--delta2", "1", "--epsilon", "1", "--delta", "1e-6"],
+     {"theorem3_branch", "epsilon", "variance_ratio_bound"}),
+    (["run", "--seed", "3", "--input", "-"], {"seed"}),
+], ids=["False", "True", "bench", "calibrate", "run"])
+def test_lowerbound_comment_lines_are_key_value_tokens(argv, keys, monkeypatch, capsys):
+    # the benchmark's check splits every token of every `#` line of
+    # `lowerbound` on "=", so a bare word there fails each of its runs; the
+    # other commands' `#` lines hold the same tokens
+    code, out, _ = run_cli(argv, stdin_text="1\n0\n1\n", monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     tokens = [kv for line in out.splitlines() if line.startswith("#") for kv in line[1:].split()]
     assert [kv for kv in tokens if "=" not in kv] == []
-    fields = {key: float(value) for key, value in (kv.split("=", 1) for kv in tokens)}
+    fields = dict(kv.split("=", 1) for kv in tokens)
     assert len(fields) == len(tokens)
-    assert set(fields) == {
-        "seed", "B", "m", "alpha", "packing_value", "k_threshold", "premise_rate",
-        "mean_max_error", "sum_null_se", "base_tv_bound", "combined_tv_bound",
-    }
+    assert set(fields) == keys
+    if argv[0] != "lowerbound":
+        return
+    fields = {key: float(value) for key, value in fields.items()}
     assert 0.0 <= fields["premise_rate"] <= 1.0 and fields["mean_max_error"] >= 0.0
-    if zero_noise:
+    if "--zero-noise" in argv:
         assert fields["premise_rate"] == 1.0 and fields["mean_max_error"] == 0.0
         assert fields["sum_null_se"] == 0.0
 
@@ -417,6 +443,20 @@ def test_run_missing_input_file(monkeypatch, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("sink", ["stdout", "file"])
+@pytest.mark.parametrize("horizon", [["--T", "5"], []], ids=["T", "no-T"])
+def test_unreadable_input_leaves_the_output_untouched(horizon, sink, tmp_path, monkeypatch, capsys):
+    # the input is opened before the first write: with --T, the header lines
+    # were once written first, and a named output cut to them
+    path = tmp_path / "results.csv"
+    path.write_text("earlier results\n")
+    output = ["--output", str(path)] if sink == "file" else []
+    code, out, err = run_cli(["run", "--input", str(tmp_path / "missing.txt"), *horizon, *output],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err.startswith("data error: cannot read input")
+    assert out == "" and path.read_text() == "earlier results\n"
+
+
 def test_fmt_round_trips_floats():
     for x in (1.0 / 3.0, math.pi, 5.349980061976299, -0.0):
         assert float(cli.fmt(x)) == x
@@ -481,32 +521,40 @@ def test_cli_import_leaves_scipy_unloaded():
     assert "\ni,pr_Ei,se,sum_Ej_null,tv_exact,tv_bound\n" in result.stdout
 
 
-class RecordingStdout(io.StringIO):
-    """Fake stdout that logs each write and flush in order."""
+class RecordingStdout(io.BytesIO):
+    """Fake stdout whose binary layer, itself, logs each write (as text) and flush in order."""
 
     def __init__(self):
         super().__init__()
         self.events = []
 
-    def write(self, text):
-        self.events.append(("write", text))
-        return super().write(text)
+    @property
+    def buffer(self):
+        return self
+
+    def write(self, data):
+        self.events.append(("write", bytes(data).decode()))
+        return super().write(data)
 
     def flush(self):
         self.events.append(("flush", None))
         super().flush()
 
 
-class RecordingStdin(io.StringIO):
-    """Fake stdin that returns at most `size` characters per read, logging each read."""
+class RecordingStdin(io.BytesIO):
+    """Fake stdin whose binary layer, itself, returns at most `size` bytes per read, logging each read."""
 
     def __init__(self, text, events, size):
-        super().__init__(text)
+        super().__init__(text.encode())
         self.events, self.size = events, size
 
-    def read(self, n=-1):
+    @property
+    def buffer(self):
+        return self
+
+    def read1(self, n=-1):
         self.events.append(("read", None))
-        return super().read(self.size)
+        return super().read1(self.size)
 
 
 def test_stdout_release_flushes_every_row(monkeypatch):
@@ -547,18 +595,28 @@ def _read_line(fd, pending: bytes):
     return line.decode(), rest
 
 
-@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
-def test_stdout_row_arrives_before_the_next_bit_is_sent(sep, monkeypatch, capsys):
+@pytest.mark.parametrize("sep,fifo", [(sep, fifo) for fifo in (False, True) for sep in ("\n", "\r", "\r\n")],
+                         ids=["LF", "CR", "CRLF", "LF-fifo", "CR-fifo", "CRLF-fifo"])
+def test_stdout_row_arrives_before_the_next_bit_is_sent(sep, fifo, tmp_path, monkeypatch, capsys):
     # a real pipe on each side, one bit at a time: the release must show each
-    # row while it waits for the next bit.  A "\r\n" is sent in two writes,
-    # its "\n" with the next bit, so a read ends on the "\r"
+    # row while it waits for the next bit, on stdout as in a FIFO that
+    # `--output` names.  A "\r\n" is sent in two writes, its "\n" with the
+    # next bit, so a read ends on the "\r"
     head, carry = sep[:1], sep[1:]
     T = 20
     bits = [(t * 5) % 3 % 2 for t in range(T)]
     argv = ["run", "--k", "3", "--T", str(T), "--seed", "9", "--input", "-"]
     in_r, in_w = os.pipe()
-    out_r, out_w = os.pipe()
-    proc = subprocess.Popen([sys.executable, "-m", "karycount.cli", *argv],
+    if fifo:
+        # the reader is there before the release opens the FIFO, which would wait for one;
+        # without O_NONBLOCK this open would wait for the writer
+        os.mkfifo(tmp_path / "rows.fifo")
+        out_r = os.open(tmp_path / "rows.fifo", os.O_RDONLY | os.O_NONBLOCK)
+        out_w = os.open(os.devnull, os.O_WRONLY)
+    else:
+        out_r, out_w = os.pipe()
+    output = ["--output", str(tmp_path / "rows.fifo")] * fifo
+    proc = subprocess.Popen([sys.executable, "-m", "karycount.cli", *argv, *output],
                             stdin=in_r, stdout=out_w, stderr=subprocess.DEVNULL, env=ENV)
     os.close(in_r)
     os.close(out_w)
@@ -589,15 +647,19 @@ def test_stdout_row_arrives_before_the_next_bit_is_sent(sep, monkeypatch, capsys
     assert code == 0 and lines == out.splitlines()
 
 
-@pytest.mark.parametrize("horizon", [[], ["--T", "200000"]], ids=["no-T", "T"])
-def test_closed_stdout_exits_141_without_traceback(horizon, tmp_path):
-    # `... | karycount run | head -3`: the reader goes away mid-release
+@pytest.mark.parametrize("horizon,unbuffered", [([], False), (["--T", "200000"], False),
+                                                ([], True), (["--T", "200000"], True)],
+                         ids=["no-T", "T", "no-T-unbuffered", "T-unbuffered"])
+def test_closed_stdout_exits_141_without_traceback(horizon, unbuffered, tmp_path):
+    # `... | karycount run | head -3`: the reader goes away mid-release.
+    # Under -u stdout's binary layer is a raw file, whose write of a block
+    # of rows stores part of it before the next write fails
     bits = tmp_path / "bits.txt"
     bits.write_text("1\n" * 200_000)
     proc = subprocess.Popen(
         [sys.executable, "-m", "karycount.cli", "run", "--k", "19", *horizon,
          "--input", str(bits)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=unbuffered_env(unbuffered),
     )
     try:
         for _ in range(3):
@@ -631,7 +693,8 @@ def test_reader_cuts_at_every_separator(sep, tmp_path):
     n = 3 * cli.READ_BYTES
     path = tmp_path / "bits.txt"
     path.write_text("".join(f"{t % 2}{sep}" for t in range(n)))
-    chunks = list(cli._read_bits(str(path)))
+    with open(path, "rb") as source:
+        chunks = list(cli._read_bits(source, lambda: None))
     assert b"".join(chunks) == b"01" * (n // 2)
     assert len(chunks) >= 3 and max(map(len, chunks)) <= cli.READ_BYTES
 
@@ -678,6 +741,55 @@ def test_closed_named_output_is_data_error(tmp_path):
     proc.stdout.close()
     assert err.startswith(f"data error: cannot write output {fifo}")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,sink", [
+    (["run", "--T", "3", "--input", "-"], "--output"),
+    (["run", "--T", "3", "--input", "-"], "stdout"),
+    (["bench", "--k", "3", "--h", "2", "--trials", "10"], "--output"),
+], ids=["run-output", "run-stdout", "bench-output"])
+def test_full_device_is_data_error(argv, sink, unbuffered):
+    # every write fails with ENOSPC: once an OSError traceback with exit 1
+    output = ["--output", "/dev/full"] if sink == "--output" else []
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "karycount.cli", *argv, *output], input=b"1\n0\n1\n",
+            stdout=full if sink == "stdout" else subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env=unbuffered_env(unbuffered), timeout=60,
+        )
+    err = result.stderr.decode()
+    assert result.returncode == cli.EXIT_DATA, err
+    path = "/dev/full" if output else "-"
+    assert err.startswith(f"data error: cannot write output {path}: [Errno 28]")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_non_blocking_stdout_is_data_error(unbuffered, tmp_path):
+    # a non-blocking stdout pipe that no one reads until the release ends:
+    # once a BlockingIOError traceback with exit 120, and under -u a release
+    # cut at 2,725 of its 200,000 rows with exit 0
+    bits = tmp_path / "bits.txt"
+    bits.write_text("1\n" * 200_000)
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "karycount.cli", "run", "--k", "19", "--T", "200000",
+             "--input", str(bits)],
+            stdout=w, stderr=subprocess.PIPE, env=unbuffered_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(w)
+    with open(r, "rb") as reader:
+        released = reader.read()
+    err = result.stderr.decode()
+    assert result.returncode == cli.EXIT_DATA, err
+    assert err.startswith("data error: cannot write output -: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert 0 < released.count(b"\n") < 200_000
 
 
 SMALL_COMMANDS = {
@@ -905,11 +1017,12 @@ SEPARATORS = st.sampled_from([b"\n", b"\n", b",", b", ", b"\r\n", b"\r", b"\n\n"
 def read_all_bits(path):
     """(bits, error or None) of `cli._read_bits` over the file at `path`."""
     got, error = [], None
-    try:
-        for chunk in cli._read_bits(str(path)):
-            got.append(chunk.decode())
-    except cli.DataError as exc:
-        error = str(exc)
+    with open(path, "rb") as source:
+        try:
+            for chunk in cli._read_bits(source, lambda: None):
+                got.append(chunk.decode())
+        except cli.DataError as exc:
+            error = str(exc)
     return "".join(got), error
 
 
@@ -949,10 +1062,10 @@ def test_bad_token_in_the_middle_of_a_full_read(bad, tmp_path):
 
 def release(argv, input_path):
     """(exit code, stdout, stderr) of `main(argv)` reading `input_path`, in process."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err = byte_stream(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*argv, "--input", str(input_path)])
-    return code, out.getvalue(), err.getvalue()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 BLOCK_CASES = [("plain", 2), ("plain", 3), ("offset-odd", 3), ("offset-odd", 5),
@@ -1013,8 +1126,8 @@ def test_file_release_equals_stdout_release(case, seed, n, shape, flags, read_by
 
 
 def test_format_rows_is_fmt():
-    # one `%` over a block's columns gives the bytes of `fmt`, row by row,
-    # on random doubles and on the edges of the float and int formats
+    # `row_bytes` gives the bytes of `fmt`, row by row, on random
+    # doubles and on the edges of the float and int formats
     rng = np.random.default_rng(3)
     est = np.concatenate((
         rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000),
@@ -1024,9 +1137,9 @@ def test_format_rows_is_fmt():
     counts[:3] = [0, 2**53 + 1, 2**63 - 1]
     for t in (0, 2**53):
         want = [f"{cli.fmt(t + i + 1)},{cli.fmt(e)}" for i, e in enumerate(est.tolist())]
-        assert cli.format_rows(t, est) == "".join(row + "\n" for row in want)
-        got = cli.format_rows(t, est, counts)
-        assert got == "".join(f"{row},{c}\n" for row, c in zip(want, counts.tolist()))
+        assert row_bytes(t, est) == "".join(row + "\n" for row in want).encode()
+        got = row_bytes(t, est, counts)
+        assert got == "".join(f"{row},{c}\n" for row, c in zip(want, counts.tolist())).encode()
 
 
 def test_stdout_release_draws_each_key_once_on_a_wide_tree(tmp_path, monkeypatch):
@@ -1185,16 +1298,17 @@ def test_main_exits_with_a_documented_code_on_any_argv(command, data, input_byte
             argv += ["--input", str(bits)]
         if path is not None:
             argv += ["--output", str(path)]
-        out, err = io.StringIO(), io.StringIO()
+        out, err = byte_stream(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 mock.patch.dict(os.environ):
             os.environ.pop("DP_SEED", None)
             code = cli.main(argv)
-        released = path.read_text() if output == "fresh file" and path.exists() else out.getvalue()
+        stdout_text = out.buffer.getvalue().decode()
+        released = path.read_text() if output == "fresh file" and path.exists() else stdout_text
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if output in ("directory", "missing directory"):
-        assert code in (1, 2) and out.getvalue() == ""
+        assert code in (1, 2) and stdout_text == ""
     if code == 0:
         assert finite_problems(released, command, argv) == [], argv
         if command == "calibrate":  # a scale > 0 has a variance > 0

@@ -122,7 +122,7 @@ def test_a_block_with_a_value_out_of_range_falls_back_to_percent(value):
 
 def test_empty_block_is_empty():
     assert rows.row_bytes(7, np.zeros(0)) == b""
-    assert cli.format_rows(7, np.zeros(0), np.zeros(0, dtype=np.int64)) == ""
+    assert rows.row_bytes(7, np.zeros(0), np.zeros(0, dtype=np.int64)) == b""
 
 
 # -- whole releases ---------------------------------------------------------
@@ -186,13 +186,14 @@ def test_release_equals_the_reference_rows(name, tmp_path):
 
 
 def test_stdout_text_layer_is_flushed_before_the_rows(monkeypatch, tmp_path):
-    # the header lines go through stdout's text layer and the rows to its
-    # binary buffer: the header must reach the buffer first
+    # the header lines and the rows all go to stdout's binary layer, after
+    # the text that its text layer held before the command
     raw = io.BytesIO()
     monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=False))
+    print("# before the release")
     bits = bits_file(tmp_path / "bits.txt", np.ones(50, dtype=np.int64))
     assert cli.main(["run", "--k", "3", "--seed", "2", "--zero-noise", "--input", str(bits)]) == 0
-    sys.stdout.flush()
     lines = raw.getvalue().decode().splitlines()
-    assert lines[:3] == ["# seed=2", "# zero-noise: outputs are NOT private", "t,estimate"]
-    assert lines[3:] == [f"{t},{t}" for t in range(1, 51)]
+    assert lines[:4] == ["# before the release", "# seed=2", "# zero-noise: outputs are NOT private",
+                         "t,estimate"]
+    assert lines[4:] == [f"{t},{t}" for t in range(1, 51)]
